@@ -20,9 +20,10 @@
       a move. Once a host is declared failed it is fenced and quarantined
       until a manual reset.
 
-    Every step is timestamped in a {!Sim.Trace.t} with categories
-    ["detect"], ["initiate"], ["migrate"] and ["recovered"] — the raw
-    material of Table 1. *)
+    Every step is a typed event on the telemetry bus
+    ([Failure_detected], [Migration_initiated], [Migration_done],
+    [Host_suspect], [Host_failed]) — the raw material of Table 1, read
+    back with [Telemetry.Bus.capture]. *)
 
 type failure_kind =
   | App_failure
@@ -64,7 +65,6 @@ val create :
 
 val node : t -> Netsim.Node.t
 val addr : t -> Netsim.Addr.t
-val trace : t -> Sim.Trace.t
 
 val register_host : ?region:string -> t -> Host.t -> unit
 (** Starts heartbeating the host (which also feeds its fencing lease).

@@ -120,10 +120,10 @@ val watermark : t -> int option
 val held_segments : t -> int
 (** Segments currently held by the tcp_queue. *)
 
-val hold_samples : t -> Sim.Metrics.samples
-(** How long each held segment waited before release, in seconds — the
-    effective acknowledgment delay TENSOR introduces (compare with the
-    Figure 5(a) thresholds). *)
+val mean_hold_s : t -> float
+(** Mean time a held segment waited before release, in seconds (0. when
+    none has been released) — the effective acknowledgment delay TENSOR
+    introduces (compare with the Figure 5(a) thresholds). *)
 
 val bytes_written : t -> int
 val pending_unapplied : t -> int
