@@ -352,7 +352,7 @@ module Client = struct
     mutable replica : Addr.t option; (* failover target, consumed once *)
     mutable failed : bool; (* true once failover has happened *)
     mutable seq : int;
-    mutable queue : (unit -> unit) list; (* pending ops, FIFO order *)
+    queue : (unit -> unit) Queue.t; (* pending ops *)
     mutable inflight : bool;
   }
 
@@ -387,7 +387,7 @@ module Client = struct
                 replica;
                 failed = false;
                 seq = 0;
-                queue = [];
+                queue = Queue.create ();
                 inflight = false;
               };
         }
@@ -403,10 +403,9 @@ module Client = struct
         0 pairs
 
   let start_next r =
-    match r.queue with
-    | [] -> ()
-    | job :: rest ->
-        r.queue <- rest;
+    match Queue.take_opt r.queue with
+    | None -> ()
+    | Some job ->
         r.inflight <- true;
         job ()
 
@@ -448,7 +447,7 @@ module Client = struct
               parse res;
               start_next r)
         in
-        r.queue <- r.queue @ [ job ];
+        Queue.push job r.queue;
         if not r.inflight then start_next r
 
   let set t ?(timeout = Time.sec 5) pairs k =

@@ -44,13 +44,18 @@ type config = {
   profile : Bgp.Speaker.profile;
   replicate : bool;
   ack_hold : bool;
-  tcp_restore_cost : Time.span;
 }
+
+(* Modelled cost of loading the replicated TCP state back into a kernel
+   socket (TCP_REPAIR writes, NFQUEUE re-priming) plus the verification
+   probe: our userspace stack resumes instantly, so this constant carries
+   the ~1 s "TCP recovery" phase Table 1 reports for the production
+   system. *)
+let tcp_restore_cost = Time.sec 1
 
 let config ~service_id ~store_addr ?store_replica ?(store_retry = false)
     ?controller_addr ~local_asn ?(hold_time = 90) ?(degrade_frac = 0.)
-    ?(profile = Baseline.tensor) ?(replicate = true) ?(ack_hold = true)
-    ?(tcp_restore_cost = Time.sec 1) vrfs =
+    ?(profile = Baseline.tensor) ?(replicate = true) ?(ack_hold = true) vrfs =
   if degrade_frac < 0. || degrade_frac >= 1. then
     invalid_arg "App.config: degrade_frac must be in [0, 1)";
   {
@@ -66,7 +71,6 @@ let config ~service_id ~store_addr ?store_replica ?(store_retry = false)
     profile;
     replicate;
     ack_hold;
-    tcp_restore_cost;
   }
 
 type mode = Fresh | Recover
@@ -219,6 +223,29 @@ let start_trimmer t pv =
                    | None -> ())
                | None -> ()))
 
+(* The meta record of a live connection. The epoch commits the stream
+   key space: recovery reads only the records this meta names. *)
+let meta_of_conn t pv ~epoch c neg =
+  let quad = Tcp.quad c in
+  {
+    Keys.epoch;
+    vrf = pv.spec.vrf;
+    local_addr = quad.Tcp.Quad.local_addr;
+    local_port = quad.Tcp.Quad.local_port;
+    peer_addr = quad.Tcp.Quad.remote_addr;
+    peer_port = quad.Tcp.Quad.remote_port;
+    local_asn = t.cfg.local_asn;
+    hold_time = neg.Bgp.Session.hold_time;
+    as4 = neg.Bgp.Session.as4_in_use;
+    iss = Tcp.iss c;
+    irs = Tcp.irs c;
+    mss = Tcp.mss c;
+    rcv_wnd = 400_000;
+    peer_open_raw = Bgp.Msg.encode (Bgp.Msg.Open neg.Bgp.Session.peer_open);
+    peer_supports_gr = neg.Bgp.Session.peer_supports_gr;
+    peer_gr_restart_time = neg.Bgp.Session.peer_gr_restart_time;
+  }
+
 let write_meta t pv =
   match (t.client, pv.peer) with
   | Some client, Some p -> (
@@ -226,29 +253,8 @@ let write_meta t pv =
       | Some s -> (
           match (Bgp.Session.conn s, Bgp.Session.negotiated s) with
           | Some c, Some neg ->
-              let quad = Tcp.quad c in
               let meta =
-                {
-                  (* The epoch commits the stream key space: recovery
-                     reads only the records this meta names. *)
-                  Keys.epoch = Replicator.epoch pv.repl;
-                  vrf = pv.spec.vrf;
-                  local_addr = quad.Tcp.Quad.local_addr;
-                  local_port = quad.Tcp.Quad.local_port;
-                  peer_addr = quad.Tcp.Quad.remote_addr;
-                  peer_port = quad.Tcp.Quad.remote_port;
-                  local_asn = t.cfg.local_asn;
-                  hold_time = neg.Bgp.Session.hold_time;
-                  as4 = neg.Bgp.Session.as4_in_use;
-                  iss = Tcp.iss c;
-                  irs = Tcp.irs c;
-                  mss = Tcp.mss c;
-                  rcv_wnd = 400_000;
-                  peer_open_raw =
-                    Bgp.Msg.encode (Bgp.Msg.Open neg.Bgp.Session.peer_open);
-                  peer_supports_gr = neg.Bgp.Session.peer_supports_gr;
-                  peer_gr_restart_time = neg.Bgp.Session.peer_gr_restart_time;
-                }
+                meta_of_conn t pv ~epoch:(Replicator.epoch pv.repl) c neg
               in
               let cid =
                 Keys.conn_id ~service:t.cfg.service_id ~vrf:pv.spec.vrf
@@ -448,27 +454,7 @@ let rearm_from_degraded t pv =
     let snd_nxt0 = Tcp.snd_nxt c in
     let watermark = Tcp.irs c + 1 + parsed + String.length tail in
     let stream_offset = snd_nxt0 - (Tcp.iss c + 1) in
-    let quad = Tcp.quad c in
-    let meta =
-      {
-        Keys.epoch;
-        vrf = pv.spec.vrf;
-        local_addr = quad.Tcp.Quad.local_addr;
-        local_port = quad.Tcp.Quad.local_port;
-        peer_addr = quad.Tcp.Quad.remote_addr;
-        peer_port = quad.Tcp.Quad.remote_port;
-        local_asn = t.cfg.local_asn;
-        hold_time = neg.Bgp.Session.hold_time;
-        as4 = neg.Bgp.Session.as4_in_use;
-        iss = Tcp.iss c;
-        irs = Tcp.irs c;
-        mss = Tcp.mss c;
-        rcv_wnd = 400_000;
-        peer_open_raw = Bgp.Msg.encode (Bgp.Msg.Open neg.Bgp.Session.peer_open);
-        peer_supports_gr = neg.Bgp.Session.peer_supports_gr;
-        peer_gr_restart_time = neg.Bgp.Session.peer_gr_restart_time;
-      }
-    in
+    let meta = meta_of_conn t pv ~epoch c neg in
     let part_written = String.length tail > 0 in
     let pairs =
       [
@@ -739,7 +725,7 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
          peer re-synchronize. *)
       ignore
         (Engine.schedule_after (engine t) ~label:"app.tcp_restore"
-           t.cfg.tcp_restore_cost (fun () ->
+           tcp_restore_cost (fun () ->
              if not t.crashed then begin
                (match Bgp.Speaker.peer_session peer with
                | Some s when Bgp.Session.state s = Bgp.Session.Established ->

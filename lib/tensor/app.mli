@@ -74,12 +74,6 @@ type config = {
   profile : Bgp.Speaker.profile;
   replicate : bool;  (** Ablation: disable replication entirely. *)
   ack_hold : bool;  (** Ablation: replicate but never delay ACKs. *)
-  tcp_restore_cost : Sim.Time.span;
-      (** Modelled cost of loading the replicated TCP state back into a
-          kernel socket (TCP_REPAIR writes, NFQUEUE re-priming) plus the
-          verification probe — our userspace stack resumes instantly, so
-          this constant carries the ~1 s "TCP recovery" phase Table 1
-          reports for the production system. *)
 }
 
 val config :
@@ -94,7 +88,6 @@ val config :
   ?profile:Bgp.Speaker.profile ->
   ?replicate:bool ->
   ?ack_hold:bool ->
-  ?tcp_restore_cost:Sim.Time.span ->
   vrf_spec list ->
   config
 (** Raises [Invalid_argument] unless [degrade_frac] is in [\[0, 1)]. *)

@@ -12,15 +12,16 @@ let m_degrades = Telemetry.Registry.counter "replicator.degrades"
 let m_degraded_s = Telemetry.Registry.histogram "replicator.degraded_s"
 
 (* A strictly ordered, depth-one-pipelined stream of store operations.
-   Consecutive sets (and consecutive deletes) coalesce into batches, which
-   is what keeps the per-message replication cost on the cheap side of the
-   Figure 5(b) batching curve under update floods. *)
+   Consecutive sets (and consecutive deletes) coalesce into batches when
+   the pump takes them, which is what keeps the per-message replication
+   cost on the cheap side of the Figure 5(b) batching curve under update
+   floods. *)
 type op =
   | Set of (string * string) list * (unit -> unit) list
   | Del of string list
 
 type lane = {
-  mutable queue : op list; (* reversed *)
+  queue : op Queue.t; (* submitted ops, oldest first *)
   mutable inflight : bool;
   mutable current : op option; (* the op the pump holds, for shedding *)
   mutable blocked_since : Time.t option; (* first unanswered store attempt *)
@@ -34,7 +35,6 @@ type in_state = { in_key : string; mutable durable : bool; mutable applied : boo
 type t = {
   replicate : bool;
   ack_hold : bool;
-  max_batch : int;
   eng : Engine.t;
   client : Store.Client.t;
   cid : Keys.conn_id;
@@ -61,7 +61,7 @@ type t = {
   (* Send side. *)
   mutable written : int; (* stream bytes handed to replication *)
   mutable outtrim : int; (* stream offset known acked *)
-  mutable out_records : (int * int) list; (* (offset, len), oldest first *)
+  out_records : (int * int) Queue.t; (* (offset, len), oldest first *)
   mutable tail_source : (unit -> (int * int * string) option) option;
   mutable watchdog : Engine.timer option;
   mutable part_written : bool;
@@ -87,19 +87,21 @@ type t = {
   mutable on_store_healed : unit -> unit;
 }
 
-let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
-    ~client ~conn_id ~service () =
+let new_lane () =
+  { queue = Queue.create (); inflight = false; current = None; blocked_since = None }
+
+let create ?(replicate = true) ?(ack_hold = true) ~engine ~client ~conn_id
+    ~service () =
   {
     replicate;
     ack_hold = replicate && ack_hold;
-    max_batch;
     eng = engine;
     client;
     cid = conn_id;
     service;
     stopped = false;
-    ctl = { queue = []; inflight = false; current = None; blocked_since = None };
-    bulk = { queue = []; inflight = false; current = None; blocked_since = None };
+    ctl = new_lane ();
+    bulk = new_lane ();
     wm = None;
     wm_target = 0;
     confirm_inflight = false;
@@ -110,7 +112,7 @@ let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
     unapplied = Queue.create ();
     written = 0;
     outtrim = 0;
-    out_records = [];
+    out_records = Queue.create ();
     tail_source = None;
     watchdog = None;
     part_written = false;
@@ -137,19 +139,36 @@ let set_on_store_healed t f = t.on_store_healed <- f
 
 (* --- Write pump ------------------------------------------------------------ *)
 
-let enqueue_op t lane op =
-  (* Coalesce with the most recent queued op of the same kind, bounded so
-     the accumulated batch never makes coalescing quadratic (a mass
-     withdrawal can queue 100K+ checkpoint deletions at once). Deletions
-     are unordered within a batch, so new keys go in front. *)
-  match (op, lane.queue) with
-  | Set (pairs, ks), Set (pairs0, ks0) :: rest
-    when List.length pairs0 < t.max_batch ->
-      lane.queue <- Set (pairs0 @ pairs, ks0 @ ks) :: rest
-  | Del keys, Del keys0 :: rest
-    when List.length keys < 64 && List.length keys0 < 8 * t.max_batch ->
-      lane.queue <- Del (List.rev_append keys keys0) :: rest
-  | _ -> lane.queue <- op :: lane.queue
+(* Cuts the next batch: the oldest op plus the run of same-kind ops
+   behind it, while a Set batch holds fewer than [set_batch] pairs, or
+   while a Del batch holds fewer than [del_batch] keys and the next
+   delete has fewer than [del_small] (a mass withdrawal can queue 100K+
+   checkpoint deletions at once). Deletions are unordered within a
+   batch, so new keys go in front. *)
+let set_batch = 128
+let del_batch = 1024
+let del_small = 64
+
+let take_batch q =
+  let rec go n batch =
+    match (batch, Queue.peek_opt q) with
+    | Set (ps, ks), Some (Set (p, k)) when n < set_batch ->
+        ignore (Queue.pop q);
+        go (n + List.length p)
+          (Set (List.rev_append p ps, List.rev_append k ks))
+    | Del ks, Some (Del k)
+      when n < del_batch && List.compare_length_with k del_small < 0 ->
+        ignore (Queue.pop q);
+        go (n + List.length k) (Del (List.rev_append k ks))
+    | Set (ps, ks), _ -> Set (List.rev ps, List.rev ks)
+    | Del _, _ -> batch
+  in
+  match Queue.pop q with
+  | Set (ps, ks) -> go (List.length ps) (Set (List.rev ps, List.rev ks))
+  | Del ks as op -> go (List.length ks) op
+
+(* A Set's callbacks fire; a Del is dropped. *)
+let fire = function Set (_, ks) -> List.iter (fun k -> k ()) ks | Del _ -> ()
 
 (* Each operation is retried until the store acknowledges it: a request
    lost to transient network trouble must neither block the lane for a
@@ -157,78 +176,66 @@ let enqueue_op t lane op =
    hold timer fire) nor — worse — release messages whose replication
    never actually happened. *)
 let rec pump t lane =
-  if (not lane.inflight) && (not t.stopped) && not t.degraded then
-    match List.rev lane.queue with
-    | [] -> ()
-    | op :: rest ->
-        lane.queue <- List.rev rest;
-        lane.inflight <- true;
-        lane.current <- Some op;
-        (* A degrade entry (or re-arm) orphans this op: its store
-           callbacks must then do nothing — the shed already fired the
-           release callbacks, and touching lane state would corrupt the
-           fresh generation's pipeline. *)
-        let gen0 = t.gen in
-        let live () = t.gen = gen0 in
-        let finish () =
-          lane.current <- None;
-          lane.inflight <- false;
-          lane.blocked_since <- None;
-          pump t lane
-        in
-        let miss attempt =
-          if live () then begin
-            if lane.blocked_since = None then
-              lane.blocked_since <- Some (Engine.now t.eng);
-            Telemetry.Registry.incr m_store_retries;
-            ignore
-              (Engine.schedule_after t.eng ~label:"repl.retry" (Time.ms 100)
-                 attempt)
-          end
-        in
-        let rec attempt () =
-          if t.stopped || not (live ()) then ()
-          else
-            match op with
-            | Set (pairs, ks) ->
-                Store.Client.set t.client ~timeout:(Time.sec 1) pairs
-                  (function
-                  | Ok () ->
-                      if live () then begin
-                        List.iter (fun k -> k ()) ks;
-                        finish ()
-                      end
-                  | Error `Timeout -> miss attempt)
-            | Del keys ->
-                Store.Client.del t.client ~timeout:(Time.sec 1) keys
-                  (function
-                  | Ok _ -> if live () then finish ()
-                  | Error `Timeout -> miss attempt)
-        in
-        attempt ()
+  if
+    (not lane.inflight) && (not t.stopped) && (not t.degraded)
+    && not (Queue.is_empty lane.queue)
+  then begin
+    let op = take_batch lane.queue in
+    lane.inflight <- true;
+    lane.current <- Some op;
+    (* A degrade entry (or re-arm) orphans this op: its store
+       callbacks must then do nothing — the shed already fired the
+       release callbacks, and touching lane state would corrupt the
+       fresh generation's pipeline. *)
+    let gen0 = t.gen in
+    let live () = t.gen = gen0 in
+    let finish () =
+      lane.current <- None;
+      lane.inflight <- false;
+      lane.blocked_since <- None;
+      pump t lane
+    in
+    let miss attempt =
+      if live () then begin
+        if lane.blocked_since = None then
+          lane.blocked_since <- Some (Engine.now t.eng);
+        Telemetry.Registry.incr m_store_retries;
+        ignore
+          (Engine.schedule_after t.eng ~label:"repl.retry" (Time.ms 100)
+             attempt)
+      end
+    in
+    let rec attempt () =
+      if t.stopped || not (live ()) then ()
+      else
+        match op with
+        | Set (pairs, _) ->
+            Store.Client.set t.client ~timeout:(Time.sec 1) pairs
+              (function
+              | Ok () ->
+                  if live () then begin
+                    fire op;
+                    finish ()
+                  end
+              | Error `Timeout -> miss attempt)
+        | Del keys ->
+            Store.Client.del t.client ~timeout:(Time.sec 1) keys
+              (function
+              | Ok _ -> if live () then finish ()
+              | Error `Timeout -> miss attempt)
+    in
+    attempt ()
+  end
 
 (* While degraded the lanes are gone: a Set's callbacks (message
    releases, durability notifications — the latter inert against the
    cleared watermark) fire immediately, deletes are dropped; the re-arm
    rewrites every cursor the skipped writes would have maintained. *)
-let submit_ctl t op =
-  if t.degraded then
-    match op with
-    | Set (_, ks) -> List.iter (fun k -> k ()) ks
-    | Del _ -> ()
+let submit t lane op =
+  if t.degraded then fire op
   else begin
-    enqueue_op t t.ctl op;
-    pump t t.ctl
-  end
-
-let submit_bulk t op =
-  if t.degraded then
-    match op with
-    | Set (_, ks) -> List.iter (fun k -> k ()) ks
-    | Del _ -> ()
-  else begin
-    enqueue_op t t.bulk op;
-    pump t t.bulk
+    Queue.push op lane.queue;
+    pump t lane
   end
 
 (* --- tcp_queue: the held-ACK discipline ------------------------------------ *)
@@ -345,14 +352,10 @@ let clear_degraded t =
   end
 
 let shed_lane lane =
-  let fire = function
-    | Set (_, ks) -> List.iter (fun k -> k ()) ks
-    | Del _ -> ()
-  in
-  (match lane.current with Some op -> fire op | None -> ());
-  List.iter fire (List.rev lane.queue);
+  Option.iter fire lane.current;
+  Queue.iter fire lane.queue;
   lane.current <- None;
-  lane.queue <- [];
+  Queue.clear lane.queue;
   lane.inflight <- false;
   lane.blocked_since <- None
 
@@ -435,7 +438,7 @@ let complete_rearm t ~watermark ~stream_offset ~part_written =
     t.in_seq <- 0;
     t.written <- stream_offset;
     t.outtrim <- stream_offset;
-    t.out_records <- [];
+    Queue.clear t.out_records;
     t.part_written <- part_written;
     Queue.clear t.unapplied;
     Telemetry.Registry.observe m_degraded_s degraded_s;
@@ -487,7 +490,9 @@ let session_down t =
      the new epoch. *)
   let old = ecid t in
   let stale =
-    List.map (fun (off, _) -> Keys.out_key old off) t.out_records
+    List.rev
+      (Queue.fold (fun acc (off, _) -> Keys.out_key old off :: acc) []
+         t.out_records)
   in
   let stale = if t.part_written then Keys.part_key old :: stale else stale in
   let stale =
@@ -498,10 +503,10 @@ let session_down t =
   t.in_seq <- 0;
   t.written <- 0;
   t.outtrim <- 0;
-  t.out_records <- [];
+  Queue.clear t.out_records;
   t.part_written <- false;
   t.epoch <- t.epoch + 1;
-  if t.replicate && not t.stopped then submit_bulk t (Del stale)
+  if t.replicate && not t.stopped then submit t t.bulk (Del stale)
 
 let resume_at t ~epoch ~watermark ~bytes_written ~in_seq ~outtrim ~out_records =
   t.epoch <- epoch;
@@ -513,7 +518,8 @@ let resume_at t ~epoch ~watermark ~bytes_written ~in_seq ~outtrim ~out_records =
   t.written <- bytes_written;
   t.in_seq <- in_seq;
   t.outtrim <- outtrim;
-  t.out_records <- out_records
+  Queue.clear t.out_records;
+  List.iter (fun r -> Queue.push r t.out_records) out_records
 
 let attach_output_chain t chain ~local ~remote =
   if t.ack_hold then begin
@@ -574,7 +580,7 @@ let check_stall t =
           | Some (offset, inferred_ack, bytes)
             when inferred_ack > t.wm_target && String.length bytes > 0 ->
               t.part_written <- true;
-              submit_ctl t
+              submit t t.ctl
                 (Set
                    ( [
                        (Keys.part_key (ecid t), Keys.encode_part ~offset ~bytes);
@@ -651,7 +657,7 @@ let on_rx_message t msg ~inferred_ack =
     (* A completed message supersedes any replicated fragment. *)
     if t.part_written then begin
       t.part_written <- false;
-      submit_ctl t (Del [ Keys.part_key (ecid t) ])
+      submit t t.ctl (Del [ Keys.part_key (ecid t) ])
     end;
     let on_durable () =
       if inferred_ack > t.wm_target then begin
@@ -661,9 +667,9 @@ let on_rx_message t msg ~inferred_ack =
       st.durable <- true;
       (* Non-update messages carry no table state: trim immediately;
          update replicas wait until they are also applied. *)
-      if (not is_update) || st.applied then submit_bulk t (Del [ key ])
+      if (not is_update) || st.applied then submit t t.bulk (Del [ key ])
     in
-    submit_ctl t
+    submit t t.ctl
       (Set
          ( [
              (key, Keys.encode_in_record ~ack:inferred_ack ~raw);
@@ -680,7 +686,7 @@ let on_rx_applied t =
        by the apply step (same bulk lane, FIFO) — the paper's "remove
        only after applied". If the replica write is still in flight, the
        durability callback issues the delete instead. *)
-    if st.durable then submit_bulk t (Del [ st.in_key ])
+    if st.durable then submit t t.bulk (Del [ st.in_key ])
   end
 
 (* --- Delayed sending ---------------------------------------------------------- *)
@@ -692,8 +698,8 @@ let on_tx_message t ~raw ~release =
     let offset = t.written in
     let len = String.length raw in
     t.written <- offset + len;
-    t.out_records <- t.out_records @ [ (offset, len) ];
-    submit_ctl t
+    Queue.push (offset, len) t.out_records;
+    submit t t.ctl
       (Set ([ (Keys.out_key (ecid t) offset, Keys.hex raw) ], [ release ]))
   end
 
@@ -703,7 +709,7 @@ let on_rib_change t ~vrf change =
   if t.replicate && (not t.stopped) && not t.degraded then
     match change with
     | Bgp.Rib.Best_changed (prefix, path) ->
-        submit_bulk t
+        submit t t.bulk
           (Set
              ( [
                  ( Keys.rib_key ~service:t.service ~vrf prefix,
@@ -712,7 +718,7 @@ let on_rib_change t ~vrf change =
                ],
                [] ))
     | Bgp.Rib.Best_withdrawn prefix ->
-        submit_bulk t (Del [ Keys.rib_key ~service:t.service ~vrf prefix ])
+        submit t t.bulk (Del [ Keys.rib_key ~service:t.service ~vrf prefix ])
 
 (* --- Outbound trimming ---------------------------------------------------------- *)
 
@@ -721,15 +727,19 @@ let note_snd_una t ~iss ~snd_una =
     let acked = snd_una - (iss + 1) in
     if acked > t.outtrim then begin
       t.outtrim <- acked;
-      let trimmed, kept =
-        List.partition (fun (off, len) -> off + len <= acked) t.out_records
+      (* Offsets only grow, so the acked records are a prefix. *)
+      let rec pop_acked acc =
+        match Queue.peek_opt t.out_records with
+        | Some (off, len) when off + len <= acked ->
+            ignore (Queue.pop t.out_records);
+            pop_acked (Keys.out_key (ecid t) off :: acc)
+        | _ -> List.rev acc
       in
-      t.out_records <- kept;
+      let trimmed = pop_acked [] in
       if trimmed <> [] then begin
-        submit_bulk t
+        submit t t.bulk
           (Set ([ (Keys.outtrim_key (ecid t), string_of_int acked) ], []));
-        submit_bulk t
-          (Del (List.map (fun (off, _) -> Keys.out_key (ecid t) off) trimmed))
+        submit t t.bulk (Del trimmed)
       end
     end
   end
@@ -737,7 +747,8 @@ let note_snd_una t ~iss ~snd_una =
 let drain t k =
   let rec poll () =
     if
-      t.ctl.queue = [] && t.bulk.queue = []
+      Queue.is_empty t.ctl.queue
+      && Queue.is_empty t.bulk.queue
       && (not t.ctl.inflight)
       && not t.bulk.inflight
     then k ()

@@ -23,9 +23,13 @@
     - {b routing-table checkpointing}: Loc-RIB changes are written as
       [rib|…] entries (and deletions) so a backup never replays history.
 
-    Writes are batched with a depth-one pipeline: a batch accumulates
-    while the previous one is in flight, which is what makes the ACK
+    Writes are batched with a depth-one pipeline: each lane queues ops
+    while the previous batch is in flight, which is what makes the ACK
     delay stay inside Figure 5(a)'s harmless region under update floods.
+    The batch is cut when the pump takes it: the oldest queued op plus
+    the run of same-kind ops behind it — sets while the batch holds
+    fewer than 128 pairs; deletes of fewer than 64 keys each while the
+    batch holds fewer than 1024 keys.
 
     Ablation switches: [~replicate:false] disables everything (baseline
     behaviour); [~ack_hold:false] keeps replication but releases ACKs
@@ -37,7 +41,6 @@ type t
 val create :
   ?replicate:bool ->
   ?ack_hold:bool ->
-  ?max_batch:int ->
   engine:Sim.Engine.t ->
   client:Store.Client.t ->
   conn_id:Keys.conn_id ->

@@ -124,6 +124,112 @@ let test_note_snd_una_trims_out_records () =
     "outtrim recorded" (Some "100")
     (Store.Server.peek r.server (Tensor.Keys.outtrim_key r.cid))
 
+let test_snd_una_trims_prefix_then_session_down () =
+  let r = make_rig () in
+  let iss = 5000 in
+  List.iter
+    (fun c ->
+      Tensor.Replicator.on_tx_message r.repl ~raw:(String.make 100 c)
+        ~release:(fun () -> ()))
+    [ 'a'; 'b'; 'c' ];
+  Engine.run r.eng;
+  let out off = Store.Server.peek r.server (Tensor.Keys.out_key r.cid off) in
+  Tensor.Replicator.note_snd_una r.repl ~iss ~snd_una:(iss + 1 + 200);
+  Engine.run r.eng;
+  checkb "first trimmed" true (out 0 = None);
+  checkb "second trimmed" true (out 100 = None);
+  checkb "third retained" true (out 200 <> None);
+  Tensor.Replicator.session_down r.repl;
+  Engine.run r.eng;
+  checki "epoch rolled" 1 (Tensor.Replicator.epoch r.repl);
+  checkb "third deleted under the old epoch" true (out 200 = None)
+
+(* Run lengths of equal consecutive values: the sizes of the batches
+   whose completions landed at the same instant. *)
+let runs xs =
+  List.rev
+    (List.fold_left
+       (fun acc x ->
+         match acc with
+         | (y, n) :: rest when y = x -> (y, n + 1) :: rest
+         | _ -> (x, 1) :: acc)
+       [] xs)
+  |> List.map snd
+
+let test_set_batch_cuts () =
+  (* The first message finds the lane idle and goes alone; the 299
+     queued behind it are cut into batches of at most 128 pairs. *)
+  let r = make_rig () in
+  let released = ref [] in
+  for _ = 1 to 300 do
+    Tensor.Replicator.on_tx_message r.repl ~raw:"m" ~release:(fun () ->
+        released := Engine.now r.eng :: !released)
+  done;
+  Engine.run r.eng;
+  Alcotest.(check (list int))
+    "release groups" [ 1; 128; 128; 43 ]
+    (runs (List.rev !released))
+
+let test_del_batch_cuts () =
+  (* A delete of 64 or more keys starts its own batch, and the small
+     deletes queued behind it join that batch. *)
+  let r = make_rig () in
+  let src =
+    {
+      Bgp.Rib.key = "v0/10.0.0.2";
+      peer_asn = 65010;
+      peer_addr = Addr.of_string "10.0.0.2";
+      router_id = Addr.of_string "9.9.9.9";
+      ebgp = true;
+    }
+  in
+  let attrs = Bgp.Attrs.make ~next_hop:(Addr.of_string "10.0.0.2") () in
+  let prefix i = Netsim.Addr.prefix (Netsim.Addr.of_octets 100 1 i 0) 24 in
+  let rib i = Tensor.Keys.rib_key ~service:"rig" ~vrf:"v0" (prefix i) in
+  for i = 0 to 3 do
+    Tensor.Replicator.on_rib_change r.repl ~vrf:"v0"
+      (Bgp.Rib.Best_changed
+         (prefix i, { Bgp.Rib.source = src; attrs; stale = false }))
+  done;
+  for _ = 1 to 70 do
+    Tensor.Replicator.on_tx_message r.repl ~raw:"m" ~release:(fun () -> ())
+  done;
+  Engine.run r.eng;
+  let withdraw i =
+    Tensor.Replicator.on_rib_change r.repl ~vrf:"v0"
+      (Bgp.Rib.Best_withdrawn (prefix i))
+  in
+  (* One event: p0 goes out alone, p1 queues, then session_down's
+     72-key delete (70 out records, ack, outtrim), then p2 and p3. *)
+  withdraw 0;
+  withdraw 1;
+  Tensor.Replicator.session_down r.repl;
+  withdraw 2;
+  withdraw 3;
+  let outs = List.init 70 (Tensor.Keys.out_key r.cid) in
+  let watched = rib 0 :: rib 1 :: rib 2 :: rib 3 :: outs in
+  let gone_at = Hashtbl.create 80 in
+  let rec poll () =
+    List.iter
+      (fun k ->
+        if (not (Hashtbl.mem gone_at k)) && Store.Server.peek r.server k = None
+        then Hashtbl.replace gone_at k (Engine.now r.eng))
+      watched;
+    if Hashtbl.length gone_at < List.length watched then
+      ignore (Engine.schedule_after r.eng (Time.us 10) poll)
+  in
+  poll ();
+  Engine.run r.eng;
+  let at k = Hashtbl.find gone_at k in
+  checkb "p0 before p1" true (at (rib 0) < at (rib 1));
+  checkb "p1 before the mass delete" true
+    (at (rib 1) < at (Tensor.Keys.out_key r.cid 0));
+  List.iter
+    (fun k ->
+      checkb "p2, p3 and the out records go together" true
+        (at k = at (Tensor.Keys.out_key r.cid 0)))
+    (rib 2 :: rib 3 :: outs)
+
 let test_rib_checkpoint_roundtrip () =
   let r = make_rig () in
   let src =
@@ -247,6 +353,13 @@ let () =
             test_tx_offsets_are_cumulative;
           Alcotest.test_case "snd_una trims" `Quick
             test_note_snd_una_trims_out_records;
+          Alcotest.test_case "snd_una trims a prefix, session_down the rest"
+            `Quick test_snd_una_trims_prefix_then_session_down;
+        ] );
+      ( "batching",
+        [
+          Alcotest.test_case "set batch cuts" `Quick test_set_batch_cuts;
+          Alcotest.test_case "del batch cuts" `Quick test_del_batch_cuts;
         ] );
       ( "checkpoint",
         [
