@@ -11,8 +11,7 @@
      dune exec bench/main.exe -- --timeseries ts.jsonl fig6a  # simulated-time
        metric series (one JSONL row per simulated second, see lib/trace)
      dune exec bench/main.exe -- --emit-bench BENCH_rev.json  # perf snapshot
-       (diff two snapshots with: dune exec bench/compare.exe -- OLD NEW;
-        gate a series with: dune exec bench/trend.exe -- --gate OLD... NEW)
+       (gate a series with: dune exec bench/trend.exe -- --gate OLD... NEW)
      dune exec bench/main.exe -- --profile --emit-bench BENCH_rev.json
        # + per-subsystem engine cost breakdowns in the snapshot
 
@@ -72,7 +71,7 @@ let par_report : par_report option ref = ref None
 (* Snapshot schema v2. v1 carried only wall_s/sim_events/sim_events_per_s;
    v2 adds allocation + GC accounting, the non_sim marker (throughput
    fields omitted for those experiments), and optional per-subsystem
-   breakdowns. compare.exe accepts both. *)
+   breakdowns. trend.exe accepts both. *)
 let write_bench_snapshot file ~total_wall =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\"schema_version\":2,\"quick\":%b,\"experiments\":["

@@ -9,13 +9,14 @@
    newest snapshot is compared against the *best* (minimum) wall time
    any earlier snapshot achieved — a creeping regression that stays
    under a pairwise threshold between adjacent PRs still trips the gate
-   once it drifts past threshold x best-so-far. The same noise floor as
-   compare.exe applies (50 ms absolute, relative below that), so fast
-   experiments gate on real doublings, not jitter. The analysis itself
-   lives in [Trend_core] (unit-tested); this file is IO and rendering.
+   once it drifts past threshold x best-so-far. A noise floor applies
+   (50 ms absolute, relative below that), so fast experiments gate on
+   real doublings, not jitter. The analysis itself lives in [Trend_core]
+   (unit-tested); this file is IO and rendering.
 
    Exit 0 unless --gate is given and a regression is found (exit 1);
-   exit 2 on unreadable snapshots or fewer than two files. *)
+   exit 2 on unreadable snapshots, fewer than two files, or a newest
+   snapshot that shares no experiment with the earlier ones. *)
 
 let read_file path =
   let ic = try open_in_bin path with Sys_error e -> prerr_endline e; exit 2 in
@@ -100,6 +101,11 @@ let () =
       | Trend_core.Gone -> Printf.printf " %10s" "gone");
       print_newline ())
     rows;
+  if not (Trend_core.shares_history rows) then begin
+    Printf.eprintf "%s shares no experiment with the earlier snapshots\n"
+      newest_name;
+    exit 2
+  end;
   let regressions = List.length (Trend_core.regressions rows) in
   if regressions > 0 then begin
     Printf.printf

@@ -2,9 +2,9 @@
    series of --emit-bench snapshots, separated from file IO / printing
    so it can be unit-tested. *)
 
-(* Same noise floor as compare.exe: 50 ms absolute, relative below it.
-   A regression must clear both the ratio threshold and this floor, so
-   microsecond-scale experiments gate on real doublings, not jitter. *)
+(* 50 ms absolute, relative below it. A regression must clear both the
+   ratio threshold and this floor, so microsecond-scale experiments gate
+   on real doublings, not jitter. *)
 let noise_floor best = if best >= 0.05 then 0.05 else Float.max 0.01 best
 
 (* (id, wall_s) rows of one snapshot. Reads only fields common to
@@ -90,6 +90,13 @@ let regressions rows =
   List.filter
     (fun r ->
       match r.verdict with Vs_best { regression; _ } -> regression | _ -> false)
+    rows
+
+(* The newest snapshot shares at least one experiment with the history:
+   without that the gate compared nothing and its silence means nothing. *)
+let shares_history rows =
+  List.exists
+    (fun r -> match r.verdict with Vs_best _ -> true | New _ | Gone -> false)
     rows
 
 (* "quick" flags across snapshots disagree: ratios compare different

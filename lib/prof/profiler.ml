@@ -1,5 +1,5 @@
-(* Deterministic engine profiler: per-label cost accounting hooked into
-   [Sim.Engine] dispatch.
+(* Deterministic engine profiler: per-label cost accounting, installed
+   as the [Sim.Engine] dispatch observer.
 
    Attribution is by event label (see [Engine.schedule_after ?label]):
    each dispatched event adds its wall time, allocation delta
@@ -21,7 +21,7 @@ type stat = {
   mutable dwell_max_s : float;
 }
 
-(* Profiler state is domain-local, matching the engine dispatch hook it
+(* Profiler state is domain-local, matching the engine observer it
    feeds on: attaching on one domain profiles the engines that domain
    creates and nothing else, so parallel campaign workers never share a
    stats table. *)
@@ -52,14 +52,15 @@ let get label =
       Hashtbl.replace table label st;
       st
 
-(* The hook: measure around the action. Costs of the measurement itself
-   (two Gc reads, two clock reads, a closure) land inside the sample —
-   a known, constant per-event overhead, stated in the docs. The action
-   is executed under [Fun.protect] so an escaping exception (the chaos
-   runner converts those into run errors) still books the sample. *)
-let on_event ~label ~dwell action =
+(* The observer: measure around the action. Costs of the measurement
+   itself (two Gc reads, two clock reads, a closure) land inside the
+   sample — a known, constant per-event overhead, stated in the docs.
+   The action is executed under [Fun.protect] so an escaping exception
+   (the chaos runner converts those into run errors) still books the
+   sample. *)
+let on_event eng ~id:_ ~parent:_ ~label ~sched_at action =
   let st = get label in
-  let d = Sim.Time.to_sec_f dwell in
+  let d = Sim.Time.to_sec_f (Sim.Time.diff (Sim.Engine.now eng) sched_at) in
   st.dwell_s <- st.dwell_s +. d;
   if d > st.dwell_max_s then st.dwell_max_s <- d;
   let q0 = Gc.quick_stat () in
@@ -82,13 +83,16 @@ let on_event ~label ~dwell action =
 let reset () = Hashtbl.reset (state ()).table
 
 let attach () =
+  Sim.Engine.observe (Some on_event);
   reset ();
-  (state ()).active <- true;
-  Sim.Engine.set_profile_hook (Some on_event)
+  (state ()).active <- true
 
 let detach () =
-  (state ()).active <- false;
-  Sim.Engine.set_profile_hook None
+  let st = state () in
+  if st.active then begin
+    st.active <- false;
+    Sim.Engine.observe None
+  end
 
 let enabled () = (state ()).active
 

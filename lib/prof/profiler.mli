@@ -1,4 +1,5 @@
-(** Per-event-kind cost accounting hooked into [Sim.Engine] dispatch.
+(** Per-event-kind cost accounting, installed as the [Sim.Engine]
+    dispatch observer.
 
     While attached, every event of every engine in the process books its
     wall time, allocation delta, minor/major GC deltas and simulated
@@ -22,15 +23,19 @@ type stat = {
 }
 
 val attach : unit -> unit
-(** Clears accumulated samples and installs the engine dispatch hook. *)
+(** Installs the profiler as the engine observer and clears accumulated
+    samples. Raises [Invalid_argument] (and changes nothing) while
+    another observer, such as the causal recorder, is installed. *)
 
 val detach : unit -> unit
-(** Removes the hook; accumulated samples remain readable. *)
+(** Uninstalls the profiler; accumulated samples remain readable. A
+    no-op when it is not attached. *)
 
 val enabled : unit -> bool
+(** [true] while the profiler is attached. *)
 
 val reset : unit -> unit
-(** Clears accumulated samples without touching the hook. *)
+(** Clears accumulated samples without touching the observer. *)
 
 val stats : unit -> stat list
 (** All rows, sorted by label (deterministic output order). *)

@@ -1,5 +1,3 @@
-type profile_hook = label:string -> dwell:Time.span -> (unit -> unit) -> unit
-
 type event = {
   time : Time.t;
   seq : int; (* tie-breaker: FIFO among same-instant events; doubles as
@@ -24,36 +22,33 @@ and t = {
   mutable current_label : string; (* label of the executing event *)
   mutable current_id : int; (* seq of the executing event; -1 outside *)
   root_rng : Rng.t;
-  dls : dls_state; (* the creating domain's shared meter/hook cell *)
+  id : int; (* unique among the engines of the creating domain *)
+  dls : dls_state; (* the creating domain's shared meter/observer cell *)
 }
 
-and trace_hook =
-  eng:t ->
-  id:int ->
-  parent:int ->
-  label:string ->
-  sched_at:Time.t ->
-  exec_at:Time.t ->
-  unit
+and observer =
+  t -> id:int -> parent:int -> label:string -> sched_at:Time.t ->
+  (unit -> unit) -> unit
 
-(* Domain-local engine state: the cross-engine throughput meter and the
-   dispatch hooks. One record per domain, captured into [t] at [create]
-   so the per-event hot path pays a field read, not a DLS lookup. Hooks
-   and meter cover every engine *this domain* creates — exactly the old
-   process-global behaviour when single-domain, and per-campaign-worker
-   isolation under [--jobs N] (a profiler attached on one domain never
-   observes, or races with, another domain's runs). *)
+(* Domain-local engine state: the cross-engine throughput meter, the
+   engine id counter and the dispatch observer. One record per domain,
+   captured into [t] at [create] so the per-event hot path pays a field
+   read, not a DLS lookup. Observer and meter cover every engine *this
+   domain* creates — exactly the old process-global behaviour when
+   single-domain, and per-campaign-worker isolation under [--jobs N] (a
+   profiler attached on one domain never observes, or races with,
+   another domain's runs). *)
 and dls_state = {
   mutable dls_processed : int;
-  mutable dls_profile_hook : profile_hook option;
-  mutable dls_trace_hook : trace_hook option;
+  mutable dls_next_id : int;
+  mutable dls_observer : observer option;
 }
 
 type handle = event
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      { dls_processed = 0; dls_profile_hook = None; dls_trace_hook = None })
+      { dls_processed = 0; dls_next_id = 0; dls_observer = None })
 
 let dls () = Domain.DLS.get dls_key
 
@@ -111,6 +106,8 @@ module Heap = struct
 end
 
 let create ?(seed = 42) () =
+  let dls = dls () in
+  dls.dls_next_id <- dls.dls_next_id + 1;
   {
     clock = Time.zero;
     heap = None;
@@ -120,9 +117,11 @@ let create ?(seed = 42) () =
     current_label = "main";
     current_id = -1;
     root_rng = Rng.create seed;
-    dls = dls ();
+    id = dls.dls_next_id;
+    dls;
   }
 
+let id t = t.id
 let now t = t.clock
 let rng t = t.root_rng
 let current_label t = t.current_label
@@ -171,24 +170,22 @@ let cancel (e : handle) =
 
 let is_pending (e : handle) = not e.cancelled
 
-(* The attribution hook (Prof.Profiler installs itself here). When set,
-   every event dispatch is routed through it with the event's label and
-   its queue dwell (simulated time spent enqueued). The hook wraps the
-   action but must never touch simulation state, telemetry, or the
-   engine RNG — replay digests must be byte-identical with the hook on
-   or off. Domain-wide, like the throughput meter: experiments build
-   engines internally and the profiler must see all of them. *)
-let set_profile_hook h = (dls ()).dls_profile_hook <- h
-let profiling () = (dls ()).dls_profile_hook <> None
+(* The dispatch observer (Prof.Profiler or Causal.Recorder installs
+   itself here). When set, every event dispatch is routed through it; it
+   must run the action exactly once and never touch simulation state,
+   telemetry, or the engine RNG — replay digests must be byte-identical
+   with the observer installed or not. Domain-wide, like the throughput
+   meter: experiments build engines internally and the observer must see
+   all of them. One at a time: a second install raises rather than
+   stacking. *)
+let observe o =
+  let d = dls () in
+  (match (o, d.dls_observer) with
+  | Some _, Some _ -> invalid_arg "Engine.observe: an observer is installed"
+  | _ -> ());
+  d.dls_observer <- o
 
-(* The causal-trace hook (Causal.Recorder installs itself here). Unlike
-   the profile hook it does not wrap the action: it observes the
-   dispatch — id, causal parent, label, enqueue and execution instants —
-   before the action runs. Same transparency contract: no simulation
-   state, telemetry, or RNG access; replay digests must be
-   byte-identical with the hook installed or not. *)
-let set_trace_hook h = (dls ()).dls_trace_hook <- h
-let tracing () = (dls ()).dls_trace_hook <> None
+let observed () = (dls ()).dls_observer <> None
 
 let exec t e =
   e.cancelled <- true;
@@ -198,15 +195,11 @@ let exec t e =
   t.dls.dls_processed <- t.dls.dls_processed + 1;
   t.current_label <- e.label;
   t.current_id <- e.seq;
-  (match t.dls.dls_trace_hook with
-  | None -> ()
-  | Some hook ->
-      hook ~eng:t ~id:e.seq ~parent:e.caused_by ~label:e.label
-        ~sched_at:e.sched_at ~exec_at:e.time);
-  (match t.dls.dls_profile_hook with
+  (match t.dls.dls_observer with
   | None -> e.action ()
-  | Some hook ->
-      hook ~label:e.label ~dwell:(Time.diff e.time e.sched_at) e.action);
+  | Some o ->
+      o t ~id:e.seq ~parent:e.caused_by ~label:e.label ~sched_at:e.sched_at
+        e.action);
   t.current_id <- -1
 
 let step t =

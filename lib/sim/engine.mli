@@ -8,7 +8,12 @@
 
     The engine is single-threaded by design: concurrency in the modelled
     system (threads of a BGP process, containers on many hosts) is
-    expressed as interleaved events, never as OS threads. *)
+    expressed as interleaved events, never as OS threads.
+
+    Dispatch has one optional side channel: a per-domain {!observer}
+    (the profiler or the causal recorder, one at a time) that every
+    event is routed through. With none installed the dispatch loop runs
+    the action directly. *)
 
 type t
 
@@ -18,6 +23,11 @@ type handle
 val create : ?seed:int -> unit -> t
 (** [create ?seed ()] is a fresh engine with the clock at {!Time.zero} and
     a deterministic RNG seeded with [seed] (default 42). *)
+
+val id : t -> int
+(** A number unique among the engines created on the calling domain,
+    assigned at {!create}. Observers key per-engine state by it instead
+    of holding the engine (and its event heap) alive. *)
 
 val now : t -> Time.t
 (** The current simulated instant. *)
@@ -81,51 +91,32 @@ val global_processed_events : unit -> int
     engines internally. Domain-local: each worker of a parallel campaign
     meters (and resets with) its own engines. *)
 
-(** {2 Profiling hook}
+(** {2 Dispatch observer}
 
-    One dispatch hook per domain, installed by [Prof.Profiler]. When
-    set, every event of every engine is dispatched through it with the
-    event's attribution label and queue dwell (simulated time between
-    enqueue and execution). The hook wraps the action and must be
+    One observer per domain, installed by [Prof.Profiler] or
+    [Causal.Recorder]. When set, every event of every engine created on
+    this domain is dispatched through it with the engine, the event's id
+    (its scheduling sequence number), the id of the event that scheduled
+    it ([-1] when scheduled from outside dispatch, e.g. harness setup
+    code), its attribution label and its enqueue instant; the execution
+    instant is [now eng]. Causal parentage mirrors label inheritance:
+    the parent is the event executing at scheduling time.
+
+    The observer must run the action exactly once, and must be
     transparent: no simulation state, telemetry, or RNG access — replay
-    digests are byte-identical with the hook installed or not. *)
+    digests are byte-identical with an observer installed or not. *)
 
-type profile_hook = label:string -> dwell:Time.span -> (unit -> unit) -> unit
+type observer =
+  t -> id:int -> parent:int -> label:string -> sched_at:Time.t ->
+  (unit -> unit) -> unit
 
-val set_profile_hook : profile_hook option -> unit
-(** Installs (or clears, with [None]) the calling domain's dispatch
-    hook. It applies to every engine created on this domain. *)
+val observe : observer option -> unit
+(** Installs (or clears, with [None]) the calling domain's observer.
+    Raises [Invalid_argument] when installing while another observer is
+    installed: observers do not stack. *)
 
-val profiling : unit -> bool
-(** [true] while a dispatch hook is installed. *)
-
-(** {2 Causal-trace hook}
-
-    One observation hook per domain, installed by [Causal.Recorder].
-    When set, every event dispatch of every engine is reported — its id,
-    the id of the event that scheduled it ([-1] when scheduled from
-    outside dispatch, e.g. harness setup code), its attribution label,
-    and its enqueue/execution instants — immediately before the action
-    runs. Causal parentage mirrors label inheritance: the parent is the
-    event executing at scheduling time. The hook must be transparent:
-    no simulation state, telemetry, or RNG access — replay digests are
-    byte-identical with the hook installed or not. *)
-
-type trace_hook =
-  eng:t ->
-  id:int ->
-  parent:int ->
-  label:string ->
-  sched_at:Time.t ->
-  exec_at:Time.t ->
-  unit
-
-val set_trace_hook : trace_hook option -> unit
-(** Installs (or clears, with [None]) the calling domain's trace hook.
-    It applies to every engine created on this domain. *)
-
-val tracing : unit -> bool
-(** [true] while a trace hook is installed. *)
+val observed : unit -> bool
+(** [true] while an observer is installed. *)
 
 (** {2 Periodic timers} *)
 

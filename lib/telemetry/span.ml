@@ -8,26 +8,22 @@ type span = {
   parent : id option;
   start_at : Sim.Time.t;
   mutable stop_at : Sim.Time.t option;
+  (* The closing event, for causal tracing: its id and its engine's
+     [Engine.id] — an integer, so a finished span never keeps an engine
+     and its event heap alive. -1 while open, and [stop_event] stays -1
+     when the span was closed outside event dispatch. *)
+  mutable stop_event : int;
+  mutable stop_engine : int;
 }
 
-(* Lifecycle hook (Causal.Recorder installs itself here) to bind span
-   boundaries to engine events: fired when a real span is recorded and
-   when it finishes, with the engine whose clock stamped the boundary.
-   Observation-only — the hook must not touch spans or telemetry. *)
-type hook = {
-  on_start : id -> Sim.Engine.t -> unit;
-  on_finish : id -> Sim.Engine.t -> unit;
-}
-
-(* Span storage, the ambient parent, and the installed hook are all
-   domain-local: a domain's runs record into their own table, so span
-   ids and parentage never depend on what other domains are doing. *)
+(* Span storage and the ambient parent are domain-local: a domain's runs
+   record into their own table, so span ids and parentage never depend
+   on what other domains are doing. *)
 type state = {
   mutable next_id : int;
   by_id : (id, span) Hashtbl.t;
   mutable rev_order : span list;
   mutable ambient_span : id option;
-  mutable hook : hook option;
 }
 
 let key =
@@ -37,16 +33,19 @@ let key =
         by_id = Hashtbl.create 64;
         rev_order = [];
         ambient_span = None;
-        hook = None;
       })
 
 let state () = Domain.DLS.get key
 
 let set_ambient v = (state ()).ambient_span <- v
 let ambient () = (state ()).ambient_span
-let set_hook h = (state ()).hook <- h
 
-let record name parent start_at stop_at =
+let stamp_stop s eng stop_at =
+  s.stop_at <- Some stop_at;
+  s.stop_event <- Sim.Engine.current_event_id eng;
+  s.stop_engine <- Sim.Engine.id eng
+
+let record name parent start_at =
   let st = state () in
   st.next_id <- st.next_id + 1;
   let parent =
@@ -55,37 +54,36 @@ let record name parent start_at stop_at =
     | Some _ -> None
     | None -> st.ambient_span
   in
-  let s = { sid = st.next_id; name; parent; start_at; stop_at } in
+  let s =
+    {
+      sid = st.next_id;
+      name;
+      parent;
+      start_at;
+      stop_at = None;
+      stop_event = -1;
+      stop_engine = -1;
+    }
+  in
   Hashtbl.replace st.by_id s.sid s;
   st.rev_order <- s :: st.rev_order;
-  s.sid
+  s
 
 let start ?parent eng name =
   if not (Gate.on ()) then none
-  else begin
-    let sid = record name parent (Sim.Engine.now eng) None in
-    (match (state ()).hook with Some h -> h.on_start sid eng | None -> ());
-    sid
-  end
+  else (record name parent (Sim.Engine.now eng)).sid
 
 let finish eng sid =
-  let st = state () in
-  match Hashtbl.find_opt st.by_id sid with
-  | Some s when s.stop_at = None ->
-      s.stop_at <- Some (Sim.Engine.now eng);
-      (match st.hook with Some h -> h.on_finish sid eng | None -> ())
+  match Hashtbl.find_opt (state ()).by_id sid with
+  | Some s when s.stop_at = None -> stamp_stop s eng (Sim.Engine.now eng)
   | Some _ | None -> ()
 
 let add ?parent eng name ~start_at ~stop_at =
   if not (Gate.on ()) then none
   else begin
-    let sid = record name parent start_at (Some stop_at) in
-    (match (state ()).hook with
-    | Some h ->
-        h.on_start sid eng;
-        h.on_finish sid eng
-    | None -> ());
-    sid
+    let s = record name parent start_at in
+    stamp_stop s eng stop_at;
+    s.sid
   end
 
 let spans () = List.rev (state ()).rev_order

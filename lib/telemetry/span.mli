@@ -23,6 +23,14 @@ type span = {
   parent : id option;
   start_at : Sim.Time.t;
   mutable stop_at : Sim.Time.t option;
+  mutable stop_event : int;
+      (** Id of the engine event executing when the span was closed
+          ({!Sim.Engine.current_event_id}); [-1] while open or when
+          closed from harness code, outside event dispatch. *)
+  mutable stop_engine : int;
+      (** {!Sim.Engine.id} of the engine whose clock closed the span;
+          [-1] while open. An id, not the engine: a finished span must
+          not keep an engine's event heap alive. *)
 }
 
 val start : ?parent:id -> Sim.Engine.t -> string -> id
@@ -30,35 +38,19 @@ val start : ?parent:id -> Sim.Engine.t -> string -> id
     attaches to the ambient span (if any). *)
 
 val finish : Sim.Engine.t -> id -> unit
-(** Closes a span at the current instant. Unknown / already-closed /
-    {!none} ids are ignored. *)
+(** Closes a span at the current instant and records the closing event
+    ([stop_event], [stop_engine]). Unknown / already-closed / {!none}
+    ids are ignored. *)
 
 val add :
   ?parent:id -> Sim.Engine.t -> string -> start_at:Sim.Time.t ->
   stop_at:Sim.Time.t -> id
 (** Records a retroactively-observed span (e.g. BFD detection, whose
-    start is the last control packet heard). *)
+    start is the last control packet heard). The closing event is the
+    one executing now, as for {!finish}. *)
 
 val set_ambient : id option -> unit
 val ambient : unit -> id option
-
-(** {2 Lifecycle hook}
-
-    One process-global observation hook, installed by [Causal.Recorder]
-    to bind span boundaries to the engine events that produced them
-    (via [Sim.Engine.current_event_id]). [on_start] fires when a real
-    span is recorded ({!start}, and both callbacks for retroactive
-    {!add}); [on_finish] fires when an open span is closed. Never fired
-    for the inert {!none} id. The hook must be transparent: it may not
-    create, mutate, or finish spans, nor touch telemetry. *)
-
-type hook = {
-  on_start : id -> Sim.Engine.t -> unit;
-  on_finish : id -> Sim.Engine.t -> unit;
-}
-
-val set_hook : hook option -> unit
-(** Installs (or clears, with [None]) the lifecycle hook. *)
 
 val spans : unit -> span list
 (** All recorded spans, in creation order. *)

@@ -409,7 +409,8 @@ let rearm_from_degraded t pv =
                   :: acc)
             with Not_found -> []
           in
-          let fresh_keys = List.map fst fresh in
+          let module String_set = Set.Make (String) in
+          let fresh_keys = String_set.of_list (List.map fst fresh) in
           let stale =
             match res with
             | Ok pairs ->
@@ -418,7 +419,7 @@ let rearm_from_degraded t pv =
                     match Keys.vrf_prefix_of_rib_key ~service key with
                     | Some (v, _)
                       when String.equal v pv.spec.vrf
-                           && not (List.mem key fresh_keys) ->
+                           && not (String_set.mem key fresh_keys) ->
                         Some key
                     | _ -> None)
                   pairs

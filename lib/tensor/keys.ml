@@ -57,15 +57,22 @@ let hex s =
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents b
 
+(* The value of one hex digit, or -1 for anything outside [0-9a-fA-F]. *)
+let nibble c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
 let unhex s =
   let n = String.length s in
   if n mod 2 <> 0 then Error "odd hex length"
+  else if not (String.for_all (fun c -> nibble c >= 0) s) then Error "bad hex"
   else
-    try
-      Ok
-        (String.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> Error "bad hex"
+    Ok
+      (String.init (n / 2) (fun i ->
+           Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1])))
 
 (* --- Meta ---------------------------------------------------------------- *)
 

@@ -98,3 +98,5 @@ val decode_part : string -> (int * string, string) result
 
 val hex : string -> string
 val unhex : string -> (string, string) result
+(** Inverse of {!hex}. Accepts exactly even-length strings of
+    [[0-9a-fA-F]]; anything else is an [Error]. *)

@@ -51,7 +51,7 @@ let endpoint ~to_label ~t0 ~t1 (span : Telemetry.Span.span) =
   match to_label with
   | Some pat -> last_matching (fun n -> label_matches pat n.label)
   | None -> (
-      match Recorder.span_finish_binding span.sid with
+      match Recorder.span_finish_binding span with
       | Some (id, track) -> (
           match Recorder.find ~track ~id with
           | Some n when in_window n -> Some n

@@ -14,7 +14,7 @@ let default_limit = 2_000_000
    deferred to the first push, like the engine heap. *)
 type store = { mutable arr : node array; mutable len : int }
 
-(* Recorder state is domain-local, matching the engine trace hook it
+(* Recorder state is domain-local, matching the engine observer it
    feeds on: attaching on one domain records the event DAG of that
    domain's engines only, so parallel campaign workers never interleave
    their traces. *)
@@ -22,18 +22,13 @@ type state = {
   store : store;
   mutable node_limit : int;
   mutable dropped_count : int;
+  mutable active : bool;
   (* (track, id) -> index into [store.arr]. Only point lookups — never
      traversed, so determinism is not at the mercy of hash order. *)
   index : (int * int, int) Hashtbl.t;
-  (* Engines seen so far, in first-seen order; list index = track id.
-     Compared physically: engines have no identity beyond themselves. *)
-  mutable engines : Sim.Engine.t list;
-  (* Span-boundary bindings: span id -> (event id, track) of the event
-     executing when the boundary was stamped. [-1] event ids (boundaries
-     stamped from harness code, outside dispatch) are recorded as
-     absent: there is no event to anchor to. *)
-  span_starts : (Telemetry.Span.id, int * int) Hashtbl.t;
-  span_finishes : (Telemetry.Span.id, int * int) Hashtbl.t;
+  (* [Engine.id] -> track, assigned in first-seen order (track = table
+     size at insertion). Point lookups only, like [index]. *)
+  tracks : (int, int) Hashtbl.t;
 }
 
 let key =
@@ -42,34 +37,32 @@ let key =
         store = { arr = [||]; len = 0 };
         node_limit = default_limit;
         dropped_count = 0;
+        active = false;
         index = Hashtbl.create 4096;
-        engines = [];
-        span_starts = Hashtbl.create 64;
-        span_finishes = Hashtbl.create 64;
+        tracks = Hashtbl.create 8;
       })
 
 let state () = Domain.DLS.get key
 
-let track_count () = List.length (state ()).engines
-
+let track_count () = Hashtbl.length (state ()).tracks
 let track_of_engine eng =
-  let rec find i = function
-    | [] -> None
-    | e :: rest -> if e == eng then Some i else find (i + 1) rest
-  in
-  find 0 (state ()).engines
+  Hashtbl.find_opt (state ()).tracks (Sim.Engine.id eng)
 
-let register_track eng =
-  match track_of_engine eng with
+let register_track tracks eng =
+  let eid = Sim.Engine.id eng in
+  match Hashtbl.find_opt tracks eid with
   | Some i -> i
   | None ->
-      let st = state () in
-      let i = List.length st.engines in
-      st.engines <- st.engines @ [ eng ];
+      let i = Hashtbl.length tracks in
+      Hashtbl.replace tracks eid i;
       i
 
-let span_start_binding sid = Hashtbl.find_opt (state ()).span_starts sid
-let span_finish_binding sid = Hashtbl.find_opt (state ()).span_finishes sid
+let span_finish_binding (span : Telemetry.Span.span) =
+  if span.stop_event < 0 then None
+  else
+    Option.map
+      (fun track -> (span.stop_event, track))
+      (Hashtbl.find_opt (state ()).tracks span.stop_engine)
 
 let reset () =
   let st = state () in
@@ -77,9 +70,7 @@ let reset () =
   st.store.len <- 0;
   st.dropped_count <- 0;
   Hashtbl.reset st.index;
-  Hashtbl.reset st.span_starts;
-  Hashtbl.reset st.span_finishes;
-  st.engines <- []
+  Hashtbl.reset st.tracks
 
 let push store n =
   if store.len = Array.length store.arr then begin
@@ -91,38 +82,33 @@ let push store n =
   store.arr.(store.len) <- n;
   store.len <- store.len + 1
 
-let on_dispatch ~eng ~id ~parent ~label ~sched_at ~exec_at =
+let on_dispatch eng ~id ~parent ~label ~sched_at action =
   let st = state () in
   if st.store.len >= st.node_limit then
     st.dropped_count <- st.dropped_count + 1
   else begin
-    let track = register_track eng in
+    let track = register_track st.tracks eng in
     Hashtbl.replace st.index (track, id) st.store.len;
-    push st.store { id; parent; track; label; sched_at; exec_at }
-  end
+    push st.store
+      { id; parent; track; label; sched_at; exec_at = Sim.Engine.now eng }
+  end;
+  action ()
 
-let bind tbl sid eng =
-  let ev = Sim.Engine.current_event_id eng in
-  if ev >= 0 then Hashtbl.replace tbl sid (ev, register_track eng)
-
-let span_hook =
-  {
-    Telemetry.Span.on_start =
-      (fun sid eng -> bind (state ()).span_starts sid eng);
-    on_finish = (fun sid eng -> bind (state ()).span_finishes sid eng);
-  }
-
-let enabled () = Sim.Engine.tracing ()
+let enabled () = (state ()).active
 
 let attach ?(limit = default_limit) () =
   if limit <= 0 then invalid_arg "Recorder.attach: limit must be positive";
-  (state ()).node_limit <- limit;
-  Sim.Engine.set_trace_hook (Some on_dispatch);
-  Telemetry.Span.set_hook (Some span_hook)
+  Sim.Engine.observe (Some on_dispatch);
+  let st = state () in
+  st.node_limit <- limit;
+  st.active <- true
 
 let detach () =
-  Sim.Engine.set_trace_hook None;
-  Telemetry.Span.set_hook None
+  let st = state () in
+  if st.active then begin
+    st.active <- false;
+    Sim.Engine.observe None
+  end
 
 let node_count () = (state ()).store.len
 let dropped () = (state ()).dropped_count

@@ -1,17 +1,17 @@
 (** The causal event recorder.
 
-    Attaches to the engine's observation-only trace hook
-    ([Sim.Engine.set_trace_hook]) and records every dispatched event as
-    a DAG node: its id, causal parent (the event executing when it was
+    Installs itself as the engine's dispatch observer
+    ([Sim.Engine.observe]) and records every dispatched event as a DAG
+    node: its id, causal parent (the event executing when it was
     scheduled, [-1] for events scheduled from harness code), attribution
     label, enqueue instant and execution instant. Engines are assigned
     {e track} numbers in first-seen order, so a multi-engine experiment
     keeps per-engine event ids unambiguous.
 
-    It simultaneously attaches to [Telemetry.Span.set_hook] to bind span
-    boundaries to the events that stamped them — the raw material for
-    {!Critical} path extraction ("which event chain closed the failover
-    span?").
+    Spans carry the event that closed them ([Telemetry.Span.stop_event],
+    [stop_engine]); {!span_finish_binding} maps that onto a recorded
+    track — the raw material for {!Critical} path extraction ("which
+    event chain closed the failover span?").
 
     The recorder is strictly observation-only, like [Prof.Profiler]:
     attaching it must leave replay digests byte-identical. It never
@@ -30,18 +30,21 @@ val default_limit : int
 (** Default node-count cap (2M nodes ≈ a fig5a-scale run with room). *)
 
 val attach : ?limit:int -> unit -> unit
-(** Installs the engine trace hook and the span lifecycle hook.
-    Recording stops (and {!dropped} counts) past [limit] nodes.
-    Existing recorded state is kept — call {!reset} for a fresh DAG. *)
+(** Installs the recorder as the engine observer. Recording stops (and
+    {!dropped} counts) past [limit] nodes. Existing recorded state is
+    kept — call {!reset} for a fresh DAG. Raises [Invalid_argument]
+    (and changes nothing) while another observer, such as the profiler,
+    is installed. *)
 
 val detach : unit -> unit
-(** Removes both hooks. Recorded state stays readable. *)
+(** Uninstalls the recorder; recorded state stays readable. A no-op
+    when it is not attached. *)
 
 val enabled : unit -> bool
-(** [true] while the engine trace hook is installed. *)
+(** [true] while the recorder is attached. *)
 
 val reset : unit -> unit
-(** Forgets all nodes, tracks, span bindings and the drop count. *)
+(** Forgets all nodes, tracks and the drop count. *)
 
 val node_count : unit -> int
 (** Recorded nodes (excludes dropped ones). *)
@@ -64,12 +67,10 @@ val find : track:int -> id:int -> node option
 val track_count : unit -> int
 
 val track_of_engine : Sim.Engine.t -> int option
-(** The track assigned to [eng], if it has dispatched any traced event
-    (or stamped a span boundary) since the last {!reset}. *)
+(** The track assigned to [eng], if it has dispatched any recorded
+    event since the last {!reset}. *)
 
-val span_start_binding : Telemetry.Span.id -> (int * int) option
-(** [(event id, track)] of the event executing when the span started;
-    [None] when the span started outside event dispatch. *)
-
-val span_finish_binding : Telemetry.Span.id -> (int * int) option
-(** [(event id, track)] of the event executing when the span finished. *)
+val span_finish_binding : Telemetry.Span.span -> (int * int) option
+(** [(event id, track)] of the event executing when the span was
+    closed; [None] when it was closed outside event dispatch, is still
+    open, or its engine has no track. *)

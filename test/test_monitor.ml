@@ -263,7 +263,7 @@ let test_json_parser () =
     (match Monitor.Json.parse "1 2" with Error _ -> true | Ok _ -> false)
 
 (* A bench-snapshot shaped document survives the reader (what
-   bench/compare.exe depends on). *)
+   bench/trend.exe depends on). *)
 let test_json_bench_snapshot_shape () =
   let j =
     Monitor.Json.parse_exn

@@ -22,7 +22,7 @@ let stat label =
 
 let test_label_attribution_and_inheritance () =
   Prof.Profiler.attach ();
-  checkb "hook installed" true (Sim.Engine.profiling ());
+  checkb "observer installed" true (Sim.Engine.observed ());
   let eng = Sim.Engine.create () in
   (* A labeled event whose handler schedules an unlabeled child: the
      child books under the parent's label, so labeling a subsystem's
@@ -37,7 +37,7 @@ let test_label_attribution_and_inheritance () =
   ignore (Sim.Engine.schedule_after eng (Sim.Time.ms 2) (fun () -> ()));
   Sim.Engine.run eng;
   Prof.Profiler.detach ();
-  checkb "hook removed" false (Sim.Engine.profiling ());
+  checkb "observer removed" false (Sim.Engine.observed ());
   checki "root books parent + inherited child" 2 (stat "root").events;
   checki "other books one event" 1 (stat "other").events;
   checki "top-level default label" 1 (stat "main").events;
@@ -56,6 +56,29 @@ let test_label_attribution_and_inheritance () =
   checks "most events first" "root" (List.hd top2).Prof.Profiler.label;
   Prof.Profiler.reset ();
   checki "reset clears rows" 0 (List.length (Prof.Profiler.stats ()))
+
+(* --- one observer at a time ------------------------------------------------ *)
+
+let test_one_observer () =
+  Prof.Profiler.attach ();
+  let eng = Sim.Engine.create () in
+  let tick () =
+    ignore (Sim.Engine.schedule_after eng ~label:"tick" (Sim.Time.ms 1) ignore);
+    Sim.Engine.run eng
+  in
+  tick ();
+  (match Causal.Recorder.attach () with
+  | () -> Alcotest.fail "a second observer must be refused"
+  | exception Invalid_argument _ -> ());
+  checkb "recorder not attached" false (Causal.Recorder.enabled ());
+  Causal.Recorder.detach ();
+  checkb "profiler still installed" true
+    (Prof.Profiler.enabled () && Sim.Engine.observed ());
+  tick ();
+  Prof.Profiler.detach ();
+  checki "profiler kept counting" 2 (stat "tick").events;
+  checki "recorder saw nothing" 0 (Causal.Recorder.node_count ());
+  checkb "observer removed" false (Sim.Engine.observed ())
 
 (* --- determinism: profiler on/off must not change telemetry ---------------- *)
 
@@ -191,6 +214,7 @@ let () =
           Alcotest.test_case "label attribution, inheritance, dwell" `Quick
             test_label_attribution_and_inheritance;
           Alcotest.test_case "export formats" `Quick test_export_formats;
+          Alcotest.test_case "one observer at a time" `Quick test_one_observer;
         ] );
       ( "determinism",
         [

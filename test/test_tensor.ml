@@ -99,6 +99,31 @@ let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex/unhex roundtrip" ~count:200 QCheck.string
     (fun s -> Tensor.Keys.unhex (Tensor.Keys.hex s) = Ok s)
 
+(* A hex string with one non-hex character inserted must be rejected
+   wherever the character lands — including '_', which [int_of_string]
+   would read as a digit separator. *)
+let prop_unhex_rejects_non_hex =
+  let hex_digits = "0123456789abcdefABCDEF" in
+  let digit = QCheck.Gen.oneofl (List.of_seq (String.to_seq hex_digits)) in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (string_size ~gen:digit (int_range 0 8))
+        (frequency [ (1, return '_'); (1, char) ])
+        nat)
+  in
+  QCheck.Test.make ~name:"unhex rejects non-hex characters" ~count:300
+    (QCheck.make ~print:QCheck.Print.(triple string char int) gen)
+    (fun (digits, c, pos) ->
+      QCheck.assume (not (String.contains hex_digits c));
+      let i = pos mod (String.length digits + 1) in
+      let s =
+        String.sub digits 0 i ^ String.make 1 c
+        ^ String.sub digits i (String.length digits - i)
+      in
+      let s = if String.length s mod 2 = 0 then s else s ^ "0" in
+      Result.is_error (Tensor.Keys.unhex s))
+
 let prop_meta_roundtrip =
   QCheck.Test.make ~name:"meta roundtrip with arbitrary numbers" ~count:100
     QCheck.(quad (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 65535) bool)
@@ -533,5 +558,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_hex_roundtrip; prop_meta_roundtrip ] );
+          [
+            prop_hex_roundtrip; prop_meta_roundtrip; prop_unhex_rejects_non_hex;
+          ] );
     ]

@@ -5,7 +5,7 @@
    Perfetto export must be valid trace_event JSON, the simulated-time
    series must window on boundaries, and — like the profiler — the whole
    tracer must be observation-only: corpus replay digests byte-identical
-   with the hooks attached or not. *)
+   with the recorder attached or not. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -21,7 +21,7 @@ let fresh () =
 let test_recorder_causality () =
   fresh ();
   Causal.Recorder.attach ();
-  checkb "hook installed" true (Causal.Recorder.enabled ());
+  checkb "recorder attached" true (Causal.Recorder.enabled ());
   let eng = Sim.Engine.create () in
   let root_id = ref (-1) in
   let child_id = ref (-1) in
@@ -37,7 +37,7 @@ let test_recorder_causality () =
   ignore (Sim.Engine.schedule_after eng ~label:"solo" (Sim.Time.ms 1) (fun () -> ()));
   Sim.Engine.run eng;
   Causal.Recorder.detach ();
-  checkb "hook removed" false (Causal.Recorder.enabled ());
+  checkb "recorder detached" false (Causal.Recorder.enabled ());
   checki "three dispatches recorded" 3 (Causal.Recorder.node_count ());
   checki "one engine, one track" 1 (Causal.Recorder.track_count ());
   let node id =
@@ -68,6 +68,60 @@ let test_recorder_limit () =
   Causal.Recorder.reset ();
   checki "reset forgets nodes" 0 (Causal.Recorder.node_count ());
   checki "reset forgets drops" 0 (Causal.Recorder.dropped ())
+
+(* --- recorder: span bindings and tracks -------------------------------------- *)
+
+let span_named name =
+  match Telemetry.Span.find ~name with
+  | [ s ] -> s
+  | l -> Alcotest.failf "expected one %S span, got %d" name (List.length l)
+
+let test_span_binding () =
+  fresh ();
+  Causal.Recorder.attach ();
+  let eng = Sim.Engine.create () in
+  let closer = ref (-1) in
+  let inside = Telemetry.Span.start eng "inside" in
+  let outside = Telemetry.Span.start eng "outside" in
+  ignore
+    (Sim.Engine.schedule_after eng ~label:"closer" (Sim.Time.ms 3) (fun () ->
+         closer := Sim.Engine.current_event_id eng;
+         Telemetry.Span.finish eng inside));
+  Sim.Engine.run eng;
+  Telemetry.Span.finish eng outside;
+  Causal.Recorder.detach ();
+  Alcotest.(check (option (pair int int)))
+    "span closed inside an event binds to (event id, track)"
+    (Some (!closer, 0))
+    (Causal.Recorder.span_finish_binding (span_named "inside"));
+  Alcotest.(check (option (pair int int)))
+    "span closed from harness code has no binding" None
+    (Causal.Recorder.span_finish_binding (span_named "outside"))
+
+let test_tracks_after_reset () =
+  fresh ();
+  Causal.Recorder.attach ();
+  let warmup = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule_after warmup (Sim.Time.ms 1) ignore);
+  Sim.Engine.run warmup;
+  Causal.Recorder.reset ();
+  let a = Sim.Engine.create () and b = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule_after b (Sim.Time.ms 1) ignore);
+  ignore (Sim.Engine.schedule_after a (Sim.Time.ms 1) ignore);
+  Sim.Engine.run b;
+  Sim.Engine.run a;
+  Sim.Engine.run warmup;
+  Causal.Recorder.detach ();
+  checki "two tracks" 2 (Causal.Recorder.track_count ());
+  Alcotest.(check (option int))
+    "first-seen engine is track 0" (Some 0)
+    (Causal.Recorder.track_of_engine b);
+  Alcotest.(check (option int))
+    "second-seen engine is track 1" (Some 1)
+    (Causal.Recorder.track_of_engine a);
+  Alcotest.(check (option int))
+    "engine seen only before the reset has no track" None
+    (Causal.Recorder.track_of_engine warmup)
 
 (* --- critical path: the sum identity --------------------------------------- *)
 
@@ -353,6 +407,10 @@ let () =
             test_recorder_causality;
           Alcotest.test_case "node cap and drop accounting" `Quick
             test_recorder_limit;
+          Alcotest.test_case "span binds to its closing event" `Quick
+            test_span_binding;
+          Alcotest.test_case "tracks in first-seen order after reset" `Quick
+            test_tracks_after_reset;
         ] );
       ( "critical",
         [

@@ -99,6 +99,25 @@ let test_new_and_gone () =
     [ Some 1.0; None ]
     (row "old" rows).Trend_core.points
 
+let test_nothing_shared () =
+  let disjoint =
+    Trend_core.analyze
+      (List.map exps [ snap [ ("old", 1.0) ]; snap [ ("fresh", 1.0) ] ])
+  in
+  checkb "disjoint newest shares nothing with history" false
+    (Trend_core.shares_history disjoint);
+  let overlap =
+    Trend_core.analyze
+      (List.map exps
+         [
+           snap [ ("old", 1.0) ];
+           snap [ ("fig5a", 2.0) ];
+           snap [ ("fresh", 1.0); ("fig5a", 2.0) ];
+         ])
+  in
+  checkb "one common experiment is enough" true
+    (Trend_core.shares_history overlap)
+
 (* --- noise floor ------------------------------------------------------------ *)
 
 let test_noise_floor () =
@@ -151,6 +170,8 @@ let () =
           Alcotest.test_case "snapshot parsing" `Quick test_experiments_parsing;
           Alcotest.test_case "best-so-far selection" `Quick test_best_so_far;
           Alcotest.test_case "new and gone experiments" `Quick test_new_and_gone;
+          Alcotest.test_case "newest shares nothing with history" `Quick
+            test_nothing_shared;
           Alcotest.test_case "noise floor" `Quick test_noise_floor;
           Alcotest.test_case "mixed v1/v2 series" `Quick test_mixed_schema_series;
         ] );
