@@ -68,6 +68,10 @@ val encode : ?as4:bool -> t -> string
     4-byte AS_PATH encoding. Raises [Invalid_argument] if the message
     exceeds {!max_size}. *)
 
+val encode_attrs : as4:bool -> Attrs.t -> string
+(** The path-attribute block of an UPDATE body, as {!encode} writes it
+    between the attribute length and the NLRI. *)
+
 val decode : ?as4:bool -> string -> (t, error) result
 (** Decodes exactly one complete frame. *)
 

@@ -10,14 +10,26 @@ let of_octets a b c d =
   lor ((c land 0xFF) lsl 8)
   lor (d land 0xFF)
 
+(* The value of a field of 1 to [max_digits] ASCII decimal digits, or -1
+   for anything else. [int_of_string] would also read "0x0a", "1_0",
+   "+10", "0b1010" and "-0". *)
+let decimal ~max_digits s =
+  let n = String.length s in
+  if n = 0 || n > max_digits then -1
+  else
+    String.fold_left
+      (fun acc c ->
+        match c with
+        | '0' .. '9' when acc >= 0 -> (acc * 10) + Char.code c - Char.code '0'
+        | _ -> -1)
+      0 s
+
 let of_string s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] -> (
-      match
-        (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c,
-         int_of_string_opt d)
-      with
-      | Some a, Some b, Some c, Some d
+      let octet f = decimal ~max_digits:3 f in
+      match (octet a, octet b, octet c, octet d) with
+      | a, b, c, d
         when a >= 0 && a < 256 && b >= 0 && b < 256 && c >= 0 && c < 256
              && d >= 0 && d < 256 ->
           of_octets a b c d
@@ -52,9 +64,11 @@ let prefix_of_string s =
   | None -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s)
   | Some i -> (
       let addr = of_string (String.sub s 0 i) in
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some len -> prefix addr len
-      | None -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s))
+      match
+        decimal ~max_digits:2 (String.sub s (i + 1) (String.length s - i - 1))
+      with
+      | len when len >= 0 -> prefix addr len
+      | _ -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s))
 
 let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.len
 let pp_prefix fmt p = Format.pp_print_string fmt (prefix_to_string p)

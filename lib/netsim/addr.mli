@@ -18,8 +18,10 @@ val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is [a.b.c.d]. Each octet is masked to 8 bits. *)
 
 val of_string : string -> t
-(** Parses dotted-quad notation. Raises [Invalid_argument] on malformed
-    input. *)
+(** Parses dotted-quad notation: four fields of 1 to 3 ASCII decimal
+    digits, each at most 255 (leading zeros allowed). Raises
+    [Invalid_argument] on anything else, including the [0x], [0o], [0b],
+    [_] and sign forms [int_of_string] would accept. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
@@ -43,7 +45,9 @@ val prefix : t -> int -> prefix
     [Invalid_argument] unless [0 <= len <= 32]. *)
 
 val prefix_of_string : string -> prefix
-(** Parses ["a.b.c.d/len"]. *)
+(** Parses ["a.b.c.d/len"]: the address as {!of_string}, the length as 1
+    or 2 ASCII decimal digits, at most 32. Raises [Invalid_argument]
+    otherwise. *)
 
 val prefix_to_string : prefix -> string
 val pp_prefix : Format.formatter -> prefix -> unit

@@ -402,9 +402,10 @@ let rearm_from_degraded t pv =
           let fresh =
             try
               let table = Bgp.Speaker.rib spk ~vrf:pv.spec.vrf in
+              let enc = Keys.rib_encoder () in
               Bgp.Rib.fold_best table ~init:[] ~f:(fun acc pfx path ->
                   ( Keys.rib_key ~service ~vrf:pv.spec.vrf pfx,
-                    Keys.encode_rib_entry path.Bgp.Rib.source pfx
+                    Keys.encode_rib_entry_with enc path.Bgp.Rib.source pfx
                       path.Bgp.Rib.attrs )
                   :: acc)
             with Not_found -> []

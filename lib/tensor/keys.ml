@@ -22,7 +22,7 @@ let bfd_key cid = "bfd|" ^ cid
 let part_key cid = "part|" ^ cid
 
 let rib_key ~service ~vrf prefix =
-  Printf.sprintf "rib|%s|%s|%s" service vrf (Netsim.Addr.prefix_to_string prefix)
+  String.concat "|" [ "rib"; service; vrf; Netsim.Addr.prefix_to_string prefix ]
 
 let rib_prefix ~service = "rib|" ^ service ^ "|"
 
@@ -52,10 +52,20 @@ let vrf_prefix_of_rib_key ~service key =
 
 (* --- Hex ----------------------------------------------------------------- *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Writes the two lowercase hex digits of [v]'s low byte at [pos]. *)
+let put_hex dst pos v =
+  Bytes.set dst pos hex_digits.[(v lsr 4) land 0xF];
+  Bytes.set dst (pos + 1) hex_digits.[v land 0xF]
+
 let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    put_hex b (2 * i) (Char.code s.[i])
+  done;
+  Bytes.unsafe_to_string b
 
 (* The value of one hex digit, or -1 for anything outside [0-9a-fA-F]. *)
 let nibble c =
@@ -178,19 +188,79 @@ let decode_in_record s =
 
 (* --- RIB entries ------------------------------------------------------------ *)
 
-let encode_rib_entry (src : Bgp.Rib.source) prefix attrs =
-  let update =
-    Bgp.Msg.Update { withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
+(* The value is the source's fields, then [u=] and the hex of the
+   one-prefix UPDATE frame [Bgp.Msg.encode] writes for the route:
+
+     marker (16 x ff) | length (2) | type 02 | withdrawn length 0000
+     | attribute length (2) | attributes | prefix length (1) | prefix bytes
+
+   Everything except the frame length and the prefix is fixed by
+   (source, attrs), so it is built once per pair: [head] runs up to the
+   marker, [mid] from the type byte through the attribute hex. *)
+type rib_head = {
+  src : Bgp.Rib.source;
+  attrs : Bgp.Attrs.t;
+  head : string;
+  mid : string;
+  alen : int;
+}
+
+type rib_encoder = { mutable last : rib_head option }
+
+let rib_encoder () = { last = None }
+
+let rib_head (src : Bgp.Rib.source) attrs =
+  let a = Bgp.Msg.encode_attrs ~as4:true attrs in
+  let alen = String.length a in
+  let head =
+    String.concat ";"
+      [
+        "sk=" ^ src.Bgp.Rib.key;
+        "pasn=" ^ string_of_int src.Bgp.Rib.peer_asn;
+        "paddr=" ^ Netsim.Addr.to_string src.Bgp.Rib.peer_addr;
+        "rid=" ^ Netsim.Addr.to_string src.Bgp.Rib.router_id;
+        "ebgp=" ^ (if src.Bgp.Rib.ebgp then "1" else "0");
+        "u=" ^ String.make 32 'f';
+      ]
   in
-  String.concat ";"
-    [
-      "sk=" ^ src.Bgp.Rib.key;
-      "pasn=" ^ string_of_int src.Bgp.Rib.peer_asn;
-      "paddr=" ^ Netsim.Addr.to_string src.Bgp.Rib.peer_addr;
-      "rid=" ^ Netsim.Addr.to_string src.Bgp.Rib.router_id;
-      "ebgp=" ^ (if src.Bgp.Rib.ebgp then "1" else "0");
-      "u=" ^ hex (Bgp.Msg.encode update);
-    ]
+  let lens = Bytes.create 4 in
+  put_hex lens 0 (alen lsr 8);
+  put_hex lens 2 alen;
+  { src; attrs; head; mid = "020000" ^ Bytes.to_string lens ^ hex a; alen }
+
+let encode_rib_entry_with enc src (prefix : Netsim.Addr.prefix) attrs =
+  let h =
+    match enc.last with
+    | Some h when h.src == src && h.attrs == attrs -> h
+    | _ ->
+        let h = rib_head src attrs in
+        enc.last <- Some h;
+        h
+  in
+  let plen = prefix.Netsim.Addr.len in
+  let nbytes = (plen + 7) / 8 in
+  let total = 19 + 4 + h.alen + 1 + nbytes in
+  (* [Bgp.Msg.encode]'s size check, with its message. *)
+  if total > Bgp.Msg.max_size then
+    invalid_arg
+      (Printf.sprintf "Msg.encode: %d bytes exceeds max %d" total
+         Bgp.Msg.max_size);
+  let hl = String.length h.head and ml = String.length h.mid in
+  let out = Bytes.create (hl + 4 + ml + (2 * (1 + nbytes))) in
+  Bytes.blit_string h.head 0 out 0 hl;
+  put_hex out hl (total lsr 8);
+  put_hex out (hl + 2) total;
+  Bytes.blit_string h.mid 0 out (hl + 4) ml;
+  let pos = hl + 4 + ml in
+  put_hex out pos plen;
+  let base = Netsim.Addr.to_int prefix.Netsim.Addr.base in
+  for i = 0 to nbytes - 1 do
+    put_hex out (pos + 2 + (2 * i)) (base lsr (24 - (8 * i)))
+  done;
+  Bytes.unsafe_to_string out
+
+let encode_rib_entry src prefix attrs =
+  encode_rib_entry_with (rib_encoder ()) src prefix attrs
 
 let decode_rib_entry s =
   let f = fields s in

@@ -85,6 +85,31 @@ val decode_in_record : string -> (int * string, string) result
 (** [(inferred_ack, raw_frame)]. *)
 
 val encode_rib_entry : Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t -> string
+(** [sk=<key>;pasn=<asn>;paddr=<addr>;rid=<addr>;ebgp=<0|1>;u=<hex>],
+    where [<hex>] is {!hex} of the one-prefix UPDATE frame
+    [Bgp.Msg.encode (Update {withdrawn = []; attrs = Some attrs; nlri =
+    [prefix]})]. Raises that encoder's [Invalid_argument] when the frame
+    would exceed [Bgp.Msg.max_size]. *)
+
+type rib_encoder
+(** A one-entry memo for encoding many routes that share a source and
+    attributes, as every prefix of one UPDATE does. It holds the record
+    bytes fixed by the (source, attrs) pair: the source fields, the
+    frame marker and the hex of the attribute block. *)
+
+val rib_encoder : unit -> rib_encoder
+
+val encode_rib_entry_with :
+  rib_encoder -> Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t -> string
+(** Same bytes as {!encode_rib_entry}, allocating about the record's
+    size per call while the memo hits. The memo hits when [source] and
+    [attrs] are physically equal ([==]) to the previous call's; both are
+    immutable, so a hit is always correct. A miss (a new source, or
+    attributes rebuilt per prefix, even if structurally equal) encodes
+    the pair again and replaces the memo; it costs time, never
+    correctness. An encoder is owned by one writer: it is not shared
+    across domains. *)
+
 val decode_rib_entry :
   string -> (Bgp.Rib.source * Netsim.Addr.prefix * Bgp.Attrs.t, string) result
 

@@ -62,6 +62,7 @@ type t = {
   mutable written : int; (* stream bytes handed to replication *)
   mutable outtrim : int; (* stream offset known acked *)
   out_records : (int * int) Queue.t; (* (offset, len), oldest first *)
+  rib_enc : Keys.rib_encoder; (* one UPDATE's prefixes share its attrs *)
   mutable tail_source : (unit -> (int * int * string) option) option;
   mutable watchdog : Engine.timer option;
   mutable part_written : bool;
@@ -113,6 +114,7 @@ let create ?(replicate = true) ?(ack_hold = true) ~engine ~client ~conn_id
     written = 0;
     outtrim = 0;
     out_records = Queue.create ();
+    rib_enc = Keys.rib_encoder ();
     tail_source = None;
     watchdog = None;
     part_written = false;
@@ -713,8 +715,8 @@ let on_rib_change t ~vrf change =
           (Set
              ( [
                  ( Keys.rib_key ~service:t.service ~vrf prefix,
-                   Keys.encode_rib_entry path.Bgp.Rib.source prefix
-                     path.Bgp.Rib.attrs );
+                   Keys.encode_rib_entry_with t.rib_enc path.Bgp.Rib.source
+                     prefix path.Bgp.Rib.attrs );
                ],
                [] ))
     | Bgp.Rib.Best_withdrawn prefix ->

@@ -25,6 +25,28 @@ let test_addr_malformed () =
           with Invalid_argument _ -> raise (Invalid_argument "bad")))
     [ "1.2.3"; "1.2.3.4.5"; "256.1.1.1"; "a.b.c.d"; ""; "1.2.3.-4" ]
 
+(* Numeric forms [int_of_string] reads but dotted-decimal does not have:
+   hex/octal/binary prefixes, digit separators, signs, and over-long
+   fields. Each of these names 10.0.0.1 or a /8 to the old parser. *)
+let test_addr_non_canonical_rejected () =
+  let rejects what f s =
+    match f s with
+    | _ -> Alcotest.failf "%s accepted %S" what s
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (rejects "of_string" Addr.of_string)
+    [ "0x0a.0.0.1"; "1_0.0.0.1"; "+10.0.0.1"; "0b1010.0.0.1"; "0o12.0.0.1";
+      "-0.0.0.1"; "10.0.0.0001"; "10.0.0. 1"; "10..0.1" ];
+  List.iter
+    (rejects "prefix_of_string" Addr.prefix_of_string)
+    [ "10.0.0.0/0x8"; "10.0.0.0/+8"; "10.0.0.0/-0"; "10.0.0.0/1_6";
+      "10.0.0.0/008"; "10.0.0.0/"; "10.0.0.0/33"; "0x0a.0.0.0/8" ];
+  checks "leading zeros still read" "10.0.0.1"
+    (Addr.to_string (Addr.of_string "010.000.00.1"));
+  checks "prefix leading zero" "10.0.0.0/8"
+    (Addr.prefix_to_string (Addr.prefix_of_string "10.0.0.0/08"))
+
 let test_addr_succ_offset () =
   let a = Addr.of_string "10.0.0.255" in
   checks "succ crosses octet" "10.0.1.0" (Addr.to_string (Addr.succ a));
@@ -458,6 +480,28 @@ let prop_addr_string_roundtrip =
       let a = Addr.of_int raw in
       Addr.equal a (Addr.of_string (Addr.to_string a)))
 
+(* Canonical strings round-trip, and one inserted [x], [_], [+] or [-]
+   anywhere in an address or prefix string makes it malformed. *)
+let prop_addr_rejects_inserted_char =
+  QCheck.Test.make ~name:"addr/prefix parse canonical forms only" ~count:1000
+    QCheck.(
+      quad (int_bound 0xFFFFFFFF) (int_range 0 32) (oneofl [ 'x'; '_'; '+'; '-' ])
+        small_nat)
+    (fun (raw, len, c, pos) ->
+      let a = Addr.of_int raw in
+      let p = Addr.prefix a len in
+      let insert s =
+        let i = pos mod (String.length s + 1) in
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i)
+      in
+      let raises f s =
+        match f s with _ -> false | exception Invalid_argument _ -> true
+      in
+      Addr.equal (Addr.of_string (Addr.to_string a)) a
+      && Addr.equal_prefix (Addr.prefix_of_string (Addr.prefix_to_string p)) p
+      && raises Addr.of_string (insert (Addr.to_string a))
+      && raises Addr.prefix_of_string (insert (Addr.prefix_to_string p)))
+
 let () =
   Alcotest.run "netsim"
     [
@@ -466,6 +510,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_addr_roundtrip;
           Alcotest.test_case "of_octets" `Quick test_addr_of_octets;
           Alcotest.test_case "malformed rejected" `Quick test_addr_malformed;
+          Alcotest.test_case "non-canonical numbers rejected" `Quick
+            test_addr_non_canonical_rejected;
           Alcotest.test_case "succ and offset" `Quick test_addr_succ_offset;
           Alcotest.test_case "prefix canonical" `Quick test_prefix_canonical;
           Alcotest.test_case "prefix contains" `Quick test_prefix_contains;
@@ -519,5 +565,8 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_prefix_contains_base; prop_addr_string_roundtrip ] );
+          [
+            prop_prefix_contains_base; prop_addr_string_roundtrip;
+            prop_addr_rejects_inserted_char;
+          ] );
     ]

@@ -56,23 +56,24 @@ let test_keys_in_record_roundtrip () =
   | Ok (ack, raw') -> checkb "in record" true (ack = 999 && raw' = raw)
   | Error e -> Alcotest.failf "in record decode: %s" e
 
+let sample_src =
+  {
+    Bgp.Rib.key = "v0/1.2.3.4";
+    peer_asn = 65010;
+    peer_addr = Addr.of_string "1.2.3.4";
+    router_id = Addr.of_string "9.9.9.9";
+    ebgp = true;
+  }
+
+let sample_attrs () =
+  Bgp.Attrs.make
+    ~as_path:[ Bgp.Attrs.Seq [ 65010; 7018 ] ]
+    ~med:5
+    ~communities:[ (65010, 300) ]
+    ~next_hop:(Addr.of_string "1.2.3.4") ()
+
 let test_keys_rib_roundtrip () =
-  let src =
-    {
-      Bgp.Rib.key = "v0/1.2.3.4";
-      peer_asn = 65010;
-      peer_addr = Addr.of_string "1.2.3.4";
-      router_id = Addr.of_string "9.9.9.9";
-      ebgp = true;
-    }
-  in
-  let attrs =
-    Bgp.Attrs.make
-      ~as_path:[ Bgp.Attrs.Seq [ 65010; 7018 ] ]
-      ~med:5
-      ~communities:[ (65010, 300) ]
-      ~next_hop:(Addr.of_string "1.2.3.4") ()
-  in
+  let src = sample_src and attrs = sample_attrs () in
   let p = pfx "100.1.2.0/24" in
   match
     Tensor.Keys.decode_rib_entry (Tensor.Keys.encode_rib_entry src p attrs)
@@ -133,6 +134,225 @@ let prop_meta_roundtrip =
           peer_supports_gr = gr }
       in
       Tensor.Keys.decode_meta (Tensor.Keys.encode_meta m) = Ok m)
+
+(* --- RIB checkpoint encoder ------------------------------------------------ *)
+
+(* The stored record format as first written: a whole one-prefix UPDATE
+   re-encoded per route and hexed one [Printf] call per byte. The
+   memoised encoder must reproduce it byte for byte. *)
+let ref_hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let ref_rib_entry (src : Bgp.Rib.source) prefix attrs =
+  let update =
+    Bgp.Msg.Update { withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
+  in
+  String.concat ";"
+    [
+      "sk=" ^ src.Bgp.Rib.key;
+      "pasn=" ^ string_of_int src.Bgp.Rib.peer_asn;
+      "paddr=" ^ Addr.to_string src.Bgp.Rib.peer_addr;
+      "rid=" ^ Addr.to_string src.Bgp.Rib.router_id;
+      "ebgp=" ^ (if src.Bgp.Rib.ebgp then "1" else "0");
+      "u=" ^ ref_hex (Bgp.Msg.encode update);
+    ]
+
+let gen_src =
+  QCheck.Gen.(
+    map
+      (fun (i, asn, (pa, rid), ebgp) ->
+        {
+          Bgp.Rib.key = Printf.sprintf "v%d/%s" i (Addr.to_string (Addr.of_int pa));
+          peer_asn = asn;
+          peer_addr = Addr.of_int pa;
+          router_id = Addr.of_int rid;
+          ebgp;
+        })
+      (quad (int_bound 9) (int_bound 0xFFFFFFFF)
+         (pair (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF))
+         bool))
+
+(* Short paths, and two-segment paths over 255 bytes that force the
+   extended-length flag; likewise for communities. *)
+let gen_attrs =
+  QCheck.Gen.(
+    let asn = int_bound 0xFFFFFFFF in
+    let seg =
+      map2
+        (fun set asns -> if set then Bgp.Attrs.Set asns else Bgp.Attrs.Seq asns)
+        bool
+        (list_size (int_range 0 10) asn)
+    in
+    let long_seg = map (fun asns -> Bgp.Attrs.Seq asns) (list_repeat 40 asn) in
+    let as_path =
+      frequency
+        [ (4, list_size (int_range 0 3) seg); (1, list_repeat 2 long_seg) ]
+    in
+    let community = pair (int_bound 0xFFFF) (int_bound 0xFFFF) in
+    let communities =
+      frequency
+        [ (4, list_size (int_range 0 5) community); (1, list_repeat 70 community) ]
+    in
+    map
+      (fun ((origin, as_path, nh), (med, local_pref), (atomic_aggregate, communities)) ->
+        Bgp.Attrs.make ~origin ~as_path ?med ?local_pref ~atomic_aggregate
+          ~communities ~next_hop:(Addr.of_int nh) ())
+      (triple
+         (triple
+            (oneofl [ Bgp.Attrs.Igp; Bgp.Attrs.Egp; Bgp.Attrs.Incomplete ])
+            as_path (int_bound 0xFFFFFFFF))
+         (pair (opt (int_bound 0xFFFFFFFF)) (opt (int_bound 0xFFFFFFFF)))
+         (pair bool communities)))
+
+let gen_prefix =
+  QCheck.Gen.(
+    map
+      (fun (raw, len) -> Addr.prefix (Addr.of_int raw) len)
+      (pair (int_bound 0xFFFFFFFF) (int_range 0 32)))
+
+(* Each case is a run of routes sharing one (source, attrs) pair, as the
+   prefixes of one UPDATE do; a shared encoder carries its memo from one
+   run to the next. *)
+let prop_rib_entry_matches_reference =
+  QCheck.Test.make ~name:"rib entry bytes equal the reference encoder"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(list_size (int_range 1 4)
+               (triple gen_src gen_attrs (list_size (int_range 1 6) gen_prefix))))
+    (fun runs ->
+      let enc = Tensor.Keys.rib_encoder () in
+      List.for_all
+        (fun (src, attrs, prefixes) ->
+          List.for_all
+            (fun p ->
+              let want = ref_rib_entry src p attrs in
+              String.equal (Tensor.Keys.encode_rib_entry src p attrs) want
+              && String.equal
+                   (Tensor.Keys.encode_rib_entry_with enc src p attrs)
+                   want)
+            prefixes)
+        runs)
+
+let test_rib_encoder_memo () =
+  let enc = Tensor.Keys.rib_encoder () in
+  let same what src p attrs =
+    Alcotest.(check string)
+      what (ref_rib_entry src p attrs)
+      (Tensor.Keys.encode_rib_entry_with enc src p attrs)
+  in
+  let a = sample_attrs () in
+  for i = 0 to 49 do
+    same "repeated attrs" sample_src
+      (Addr.prefix (Addr.of_int (0x64000000 + (i lsl 8))) (24 - (i mod 8)))
+      a
+  done;
+  (* Structurally equal but physically distinct: a miss, same bytes. *)
+  same "equal attrs copy" sample_src (pfx "10.0.0.0/8") (sample_attrs ());
+  same "back to the first" sample_src (pfx "10.1.0.0/16") a;
+  let src2 = { sample_src with Bgp.Rib.key = "v1/5.6.7.8"; ebgp = false } in
+  same "new source, same attrs" src2 (pfx "10.2.0.0/16") a;
+  same "other attrs" src2 (pfx "10.3.0.0/16")
+    (Bgp.Attrs.with_local_pref a (Some 200));
+  (* Over Bgp.Msg.max_size: the same exception as the full encoder, and
+     the encoder stays usable. *)
+  let huge =
+    Bgp.Attrs.make ~communities:(List.init 1100 (fun i -> (i, i)))
+      ~next_hop:(Addr.of_string "1.2.3.4") ()
+  in
+  let raised f =
+    match f () with _ -> None | exception Invalid_argument m -> Some m
+  in
+  let want = raised (fun () -> ref_rib_entry sample_src (pfx "10.4.0.0/16") huge) in
+  checkb "reference raises" true (Option.is_some want);
+  checkb "same Invalid_argument" true
+    (raised (fun () ->
+         Tensor.Keys.encode_rib_entry_with enc sample_src (pfx "10.4.0.0/16") huge)
+    = want);
+  same "after the oversize" sample_src (pfx "10.5.0.0/16") a
+
+let test_hex_all_bytes () =
+  let s = String.init 256 Char.chr in
+  Alcotest.(check string) "hex of 0..255" (ref_hex s) (Tensor.Keys.hex s)
+
+(* The stored format, pinned: a change here is a record-format change
+   and needs re-pinned digests. *)
+let test_rib_entry_golden () =
+  Alcotest.(check string)
+    "golden record"
+    ("sk=v0/1.2.3.4;pasn=65010;paddr=1.2.3.4;rid=9.9.9.9;ebgp=1;u="
+   ^ "ffffffffffffffffffffffffffffffff" (* marker *)
+   ^ "0041" ^ "02" ^ "0000" (* length 65, UPDATE, no withdrawals *)
+   ^ "0026" (* 38 bytes of attributes: *)
+   ^ "40010100" (* ORIGIN IGP *)
+   ^ "40020a02020000fdf200001b6a" (* AS_PATH SEQ 65010 7018 *)
+   ^ "4003040102030480040400000005" (* NEXT_HOP 1.2.3.4, MED 5 *)
+   ^ "c00804fdf2012c" (* COMMUNITY 65010:300 *)
+   ^ "18640102" (* NLRI 100.1.2.0/24 *))
+    (Tensor.Keys.encode_rib_entry sample_src (pfx "100.1.2.0/24")
+       (sample_attrs ()))
+
+(* Encoding through the memo allocates about the record itself: the
+   per-byte [Printf] hex this replaced cost ~23 KB per route. *)
+let test_rib_encode_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let enc = Tensor.Keys.rib_encoder () in
+  let a = sample_attrs () in
+  let prefixes =
+    Array.init 1000 (fun i -> Addr.prefix (Addr.of_int (0x64000000 + (i lsl 8))) 24)
+  in
+  let len =
+    String.length
+      (Tensor.Keys.encode_rib_entry_with enc sample_src prefixes.(0) a)
+  in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun p ->
+      ignore
+        (Sys.opaque_identity
+           (Tensor.Keys.encode_rib_entry_with enc sample_src p a)))
+    prefixes;
+  let per_entry = (Gc.minor_words () -. before) /. 1000.0 in
+  let budget = 4.0 *. float_of_int (len / (Sys.word_size / 8)) in
+  if per_entry >= budget then
+    Alcotest.failf "%.1f words per %d-byte entry, budget %.0f" per_entry len
+      budget
+
+(* Recovery reads every rib| record back: a damaged one must come back
+   as an [Error], never as an exception. *)
+let prop_decode_rib_entry_total =
+  let edit =
+    QCheck.Gen.(
+      triple (int_bound 2) nat
+        (frequency [ (3, oneofl (List.of_seq (String.to_seq "0123456789abcdef;=|/"))); (1, char) ]))
+  in
+  QCheck.Test.make ~name:"decode_rib_entry is total on damaged records"
+    ~count:2000
+    QCheck.(
+      make
+        Gen.(triple (pair gen_src gen_attrs) gen_prefix
+               (pair (list_size (int_range 1 3) edit) (opt nat))))
+    (fun ((src, attrs), p, (edits, cut)) ->
+      let apply s (op, pos, c) =
+        let n = String.length s in
+        let i = pos mod (n + 1) in
+        match op with
+        | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+        | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+        | _ -> s
+      in
+      let s = List.fold_left apply (ref_rib_entry src p attrs) edits in
+      let s =
+        match cut with
+        | Some k -> String.sub s 0 (k mod (String.length s + 1))
+        | None -> s
+      in
+      match Tensor.Keys.decode_rib_entry s with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) s)
 
 (* --- Full deployment helpers ---------------------------------------------- *)
 
@@ -519,6 +739,11 @@ let () =
           Alcotest.test_case "in record" `Quick test_keys_in_record_roundtrip;
           Alcotest.test_case "rib entry" `Quick test_keys_rib_roundtrip;
           Alcotest.test_case "key parsers" `Quick test_keys_parsers;
+          Alcotest.test_case "rib encoder memo" `Quick test_rib_encoder_memo;
+          Alcotest.test_case "hex of every byte" `Quick test_hex_all_bytes;
+          Alcotest.test_case "rib entry golden" `Quick test_rib_entry_golden;
+          Alcotest.test_case "rib encode allocation budget" `Quick
+            test_rib_encode_alloc_budget;
         ] );
       ( "deployment",
         [
@@ -560,5 +785,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_hex_roundtrip; prop_meta_roundtrip; prop_unhex_rejects_non_hex;
+            prop_rib_entry_matches_reference; prop_decode_rib_entry_total;
           ] );
     ]
