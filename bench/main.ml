@@ -40,6 +40,11 @@ let jobs = ref 1
    omitted instead of reported as a misleading zero. *)
 let non_sim_ids = [ "fig7a"; "fig7b"; "table2" ]
 
+(* Experiments whose printed results are host wall-clock measurements:
+   their text never repeats, so the snapshot carries no result digest
+   for them. *)
+let host_clock_ids = [ "micro"; "campaign"; "fleet" ]
+
 (* Per-experiment measurements for the --emit-bench snapshot. *)
 type bench_row = {
   br_id : string;
@@ -50,6 +55,7 @@ type bench_row = {
   br_major_gcs : int;
   br_subsystems : (string * int * float * float) list;
       (* (label, events, wall_s, alloc_bytes), only under --profile *)
+  br_digest : string option; (* of the printed results, see Report *)
 }
 
 let bench_rows : bench_row list ref = ref []
@@ -71,7 +77,9 @@ let par_report : par_report option ref = ref None
 (* Snapshot schema v2. v1 carried only wall_s/sim_events/sim_events_per_s;
    v2 adds allocation + GC accounting, the non_sim marker (throughput
    fields omitted for those experiments), and optional per-subsystem
-   breakdowns. trend.exe accepts both. *)
+   breakdowns, plus each experiment's result_digest: the MD5 of the
+   text it printed through Tensor.Report, wall-clock lines excluded
+   (absent for host_clock_ids). trend.exe accepts both. *)
 let write_bench_snapshot file ~total_wall =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\"schema_version\":2,\"quick\":%b,\"experiments\":["
@@ -95,6 +103,7 @@ let write_bench_snapshot file ~total_wall =
       Printf.bprintf buf
         ",\"alloc_bytes\":%.0f,\"minor_gcs\":%d,\"major_gcs\":%d"
         r.br_alloc_bytes r.br_minor_gcs r.br_major_gcs;
+      Option.iter (Printf.bprintf buf ",\"result_digest\":\"%s\"") r.br_digest;
       (match r.br_subsystems with
       | [] -> ()
       | subs ->
@@ -530,7 +539,7 @@ let () =
       let e0 = Sim.Engine.global_processed_events () in
       let a0 = Gc.allocated_bytes () in
       let g0 = Gc.quick_stat () in
-      f ();
+      let digest = Tensor.Report.digest_of f in
       let wall = Prof.Clock.now_s () -. t in
       let g1 = Gc.quick_stat () in
       let subsystems =
@@ -555,6 +564,8 @@ let () =
           br_minor_gcs = g1.Gc.minor_collections - g0.Gc.minor_collections;
           br_major_gcs = g1.Gc.major_collections - g0.Gc.major_collections;
           br_subsystems = subsystems;
+          br_digest =
+            (if List.mem id host_clock_ids then None else Some digest);
         }
         :: !bench_rows;
       Format.printf "@.[%s done in %.1fs wall]@." id wall)

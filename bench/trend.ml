@@ -14,7 +14,13 @@
    real doublings, not jitter. The analysis itself lives in [Trend_core]
    (unit-tested); this file is IO and rendering.
 
-   Exit 0 unless --gate is given and a regression is found (exit 1);
+   The newest snapshot's result digests (the MD5 of each experiment's
+   printed results) must also equal those of the latest earlier snapshot
+   of the same mode that records them. A deliberate change of output
+   re-pins by committing a fresh snapshot into the series.
+
+   Exit 0 unless --gate is given and a regression or a changed result
+   digest is found (exit 1);
    exit 2 on unreadable snapshots, fewer than two files, or a newest
    snapshot that shares no experiment with the earlier ones. *)
 
@@ -107,11 +113,25 @@ let () =
     exit 2
   end;
   let regressions = List.length (Trend_core.regressions rows) in
-  if regressions > 0 then begin
+  if regressions > 0 then
     Printf.printf
       "\n%d experiment(s) beyond %.2fx of their best-so-far.\n"
-      regressions !threshold;
+      regressions !threshold
+  else Printf.printf "\nNo experiment beyond %.2fx of its best-so-far.\n" !threshold;
+  let changes =
+    Trend_core.digest_changes
+      (List.map
+         (fun (_, j) ->
+           ( Option.bind (Monitor.Json.member "quick" j) Monitor.Json.to_bool,
+             Trend_core.result_digests j ))
+         snaps)
+  in
+  List.iter
+    (fun (c : Trend_core.digest_change) ->
+      Printf.printf "result digest of %s changed: %s, pinned %s\n" c.exp c.now
+        c.pinned)
+    changes;
+  if changes = [] then print_endline "Result digests unchanged.";
+  if regressions > 0 || changes <> [] then
     if !gate then exit 1
     else print_endline "(warn-only: run with --gate to fail)"
-  end
-  else Printf.printf "\nNo experiment beyond %.2fx of its best-so-far.\n" !threshold

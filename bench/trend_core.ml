@@ -105,3 +105,44 @@ let mixed_quick flags =
   match List.filter_map Fun.id flags with
   | [] -> false
   | q0 :: rest -> List.exists (fun q -> q <> q0) rest
+
+(* (id, result_digest) pairs of one snapshot. Snapshots written before
+   bench/main.exe recorded digests, and host wall-clock experiments,
+   have none. *)
+let result_digests j =
+  match
+    Option.bind (Monitor.Json.member "experiments" j) Monitor.Json.to_list
+  with
+  | None -> []
+  | Some l ->
+      List.filter_map
+        (fun e ->
+          match
+            ( Option.bind (Monitor.Json.member "id" e) Monitor.Json.to_str,
+              Option.bind
+                (Monitor.Json.member "result_digest" e)
+                Monitor.Json.to_str )
+          with
+          | Some id, Some d -> Some (id, d)
+          | _ -> None)
+        l
+
+type digest_change = { exp : string; pinned : string; now : string }
+
+(* [series] is oldest..newest, each snapshot's quick flag with its
+   digests. An experiment's newest digest must equal the one in the
+   latest earlier snapshot of the same mode that records it: the
+   simulated results are deterministic, so any difference is a
+   behaviour change. *)
+let digest_changes series =
+  match List.rev series with
+  | [] -> []
+  | (quick, newest) :: older ->
+      let same_mode = List.filter (fun (q, _) -> q = quick) older in
+      List.filter_map
+        (fun (exp, now) ->
+          match List.find_map (fun (_, ds) -> List.assoc_opt exp ds) same_mode with
+          | Some pinned when not (String.equal pinned now) ->
+              Some { exp; pinned; now }
+          | Some _ | None -> None)
+        newest

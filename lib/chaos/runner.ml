@@ -36,13 +36,12 @@ let has_permanent_store_crash (d : Descriptor.t) =
     (function Descriptor.Store_crash { dur_ms = 0; _ } -> true | _ -> false)
     d.Descriptor.faults
 
-(* Fraction of the negotiated hold time (90 s in every chaos deployment)
+(* Fraction of the negotiated hold time ([Tensor.App.hold_time], 90 s)
    after which unachievable durability flips to degraded pass-through:
    13.5 s — orders of magnitude past any healthy-store hold time, well
    inside the peer's 90 s hold timer even when the blocked write is a
    keepalive at the 30 s mark (30 + 13.5 < 90). *)
 let degrade_frac = 0.15
-let hold_time_s = 90.
 
 let disabled_checkers (d : Descriptor.t) =
   let has p = List.exists p d.Descriptor.faults in
@@ -307,7 +306,7 @@ let run (d : Descriptor.t) =
           Monitor.Checker.default_config with
           peers = peer_names;
           ack_deadline_s =
-            (if has_store_fault d then degrade_frac *. hold_time_s else 0.);
+            (if has_store_fault d then degrade_frac *. float_of_int Tensor.App.hold_time else 0.);
         }
       ()
   in

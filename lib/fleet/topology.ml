@@ -17,12 +17,11 @@ let instance_asn i = 65_100 + i
 let instance_vip i =
   Netsim.Addr.of_string (Printf.sprintf "10.20%d.%d.%d" (i / 20_000) (i / 200 mod 100) (10 + (i mod 200)))
 
-(* Unreachable-store shed deadline as a fraction of the negotiated 90 s
-   hold time: 4.5 s, small enough that a multi-second regional store
+(* Unreachable-store shed deadline as a fraction of the negotiated hold
+   time ([Tensor.App.hold_time], 90 s): 4.5 s, small enough that a multi-second regional store
    outage demonstrably sheds and re-arms within one campaign. *)
 let degrade_frac = 0.05
-let hold_time_s = 90.
-let ack_deadline_s = degrade_frac *. hold_time_s
+let ack_deadline_s = degrade_frac *. float_of_int Tensor.App.hold_time
 
 let normalize_instances n = if n <= 0 then replicas else (n + 1) / 2 * 2
 

@@ -34,12 +34,11 @@ val normalize_instances : int -> int
 
 val ack_deadline_s : float
 (** The shed deadline fleet instances run with (fraction
-    {!degrade_frac} of the 90 s hold time) — feed it to
+    {!degrade_frac} of {!Tensor.App.hold_time}) — feed it to
     {!Monitor.Checker.config.ack_deadline_s} when a campaign includes a
     regional store outage. *)
 
 val degrade_frac : float
-val hold_time_s : float
 
 type instance = {
   id : string;  (** ["s007.1"] — also the Deploy/controller service id. *)

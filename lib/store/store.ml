@@ -85,6 +85,9 @@ module Server = struct
   let stored_bytes t = t.bytes
   let peek t key = Hashtbl.find_opt t.table key
 
+  (* Not [String.starts_with]: without flambda its local loop allocates
+     a closure per call, more than this prefix substring, and the filter
+     runs on every stored key of every scan. *)
   let keys_with_prefix t prefix =
     Det.keys ~compare:String.compare t.table
     |> List.filter (fun k ->

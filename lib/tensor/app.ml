@@ -12,39 +12,28 @@ type vrf_spec = {
   peer_asn : int option;
   passive : bool;
   run_bfd : bool;
-  policy_in : Bgp.Policy.t;
-  policy_out : Bgp.Policy.t;
   ibgp_peers : (Addr.t * bool) list;
 }
 
 let vrf_spec ~vrf ~vip ~peer_addr ?peer_asn ?(passive = false)
     ?(run_bfd = true) ?(ibgp_peers = []) () =
-  {
-    vrf;
-    vip;
-    peer_addr;
-    peer_asn;
-    passive;
-    run_bfd;
-    policy_in = Bgp.Policy.empty;
-    policy_out = Bgp.Policy.empty;
-    ibgp_peers;
-  }
+  { vrf; vip; peer_addr; peer_asn; passive; run_bfd; ibgp_peers }
+
+type store_client = Plain | Resilient of Addr.t option
 
 type config = {
   service_id : string;
   store_addr : Addr.t;
-  store_replica : Addr.t option;
-  store_retry : bool;
+  store_client : store_client;
   controller_addr : Addr.t option;
   local_asn : int;
-  hold_time : int;
   degrade_frac : float;
   vrfs : vrf_spec list;
-  profile : Bgp.Speaker.profile;
   replicate : bool;
   ack_hold : bool;
 }
+
+let hold_time = 90
 
 (* Modelled cost of loading the replicated TCP state back into a kernel
    socket (TCP_REPAIR writes, NFQUEUE re-priming) plus the verification
@@ -53,22 +42,19 @@ type config = {
    system. *)
 let tcp_restore_cost = Time.sec 1
 
-let config ~service_id ~store_addr ?store_replica ?(store_retry = false)
-    ?controller_addr ~local_asn ?(hold_time = 90) ?(degrade_frac = 0.)
-    ?(profile = Baseline.tensor) ?(replicate = true) ?(ack_hold = true) vrfs =
+let config ~service_id ~store_addr ?(store_client = Plain) ?controller_addr
+    ~local_asn ?(degrade_frac = 0.) ?(replicate = true) ?(ack_hold = true) vrfs
+    =
   if degrade_frac < 0. || degrade_frac >= 1. then
     invalid_arg "App.config: degrade_frac must be in [0, 1)";
   {
     service_id;
     store_addr;
-    store_replica;
-    store_retry;
+    store_client;
     controller_addr;
     local_asn;
-    hold_time;
     degrade_frac;
     vrfs;
-    profile;
     replicate;
     ack_hold;
   }
@@ -182,46 +168,35 @@ let hooks_for t =
         | None -> ());
   }
 
+(* The VRF's replicated session and its live transport connection. *)
+let live_session pv =
+  match Option.bind pv.peer Bgp.Speaker.peer_session with
+  | Some s -> (
+      match Bgp.Session.conn s with Some c -> Some (s, c) | None -> None)
+  | None -> None
+
 (* The stall watchdog's view of the framer fragment (see Replicator). *)
 let wire_tail_source t pv =
   Replicator.set_tail_source pv.repl (fun () ->
-      if t.crashed then None
-      else
-        match pv.peer with
-        | Some p -> (
-            match Bgp.Speaker.peer_session p with
-            | Some s -> (
-                match Bgp.Session.conn s with
-                | Some c ->
-                    let tail = Bgp.Session.unparsed_tail s in
-                    if String.length tail = 0 then None
-                    else
-                      let parsed = Bgp.Session.parsed_bytes s in
-                      Some
-                        ( parsed,
-                          Tcp.irs c + 1 + parsed + String.length tail,
-                          tail )
-                | None -> None)
-            | None -> None)
-        | None -> None)
+      match live_session pv with
+      | Some (s, c) when not t.crashed ->
+          let tail = Bgp.Session.unparsed_tail s in
+          if String.length tail = 0 then None
+          else
+            let parsed = Bgp.Session.parsed_bytes s in
+            Some (parsed, Tcp.irs c + 1 + parsed + String.length tail, tail)
+      | Some _ | None -> None)
 
 let start_trimmer t pv =
   if pv.trimmer = None then
     pv.trimmer <-
       Some
         (Engine.every (engine t) ~label:"app.trimmer" (Time.ms 500) (fun () ->
-             if not t.crashed then
-               match pv.peer with
-               | Some p -> (
-                   match Bgp.Speaker.peer_session p with
-                   | Some s -> (
-                       match Bgp.Session.conn s with
-                       | Some c ->
-                           Replicator.note_snd_una pv.repl ~iss:(Tcp.iss c)
-                             ~snd_una:(Tcp.snd_una c)
-                       | None -> ())
-                   | None -> ())
-               | None -> ()))
+             match live_session pv with
+             | Some (_, c) when not t.crashed ->
+                 Replicator.note_snd_una pv.repl ~iss:(Tcp.iss c)
+                   ~snd_una:(Tcp.snd_una c)
+             | Some _ | None -> ()))
 
 (* The meta record of a live connection. The epoch commits the stream
    key space: recovery reads only the records this meta names. *)
@@ -247,21 +222,13 @@ let meta_of_conn t pv ~epoch c neg =
   }
 
 let write_meta t pv =
-  match (t.client, pv.peer) with
-  | Some client, Some p -> (
-      match Bgp.Speaker.peer_session p with
-      | Some s -> (
-          match (Bgp.Session.conn s, Bgp.Session.negotiated s) with
-          | Some c, Some neg ->
-              let meta =
-                meta_of_conn t pv ~epoch:(Replicator.epoch pv.repl) c neg
-              in
-              let cid =
-                Keys.conn_id ~service:t.cfg.service_id ~vrf:pv.spec.vrf
-              in
-              persistent_set t client
-                [ (Keys.meta_key cid, Keys.encode_meta meta) ]
-          | _ -> ())
+  match (t.client, live_session pv) with
+  | Some client, Some (s, c) -> (
+      match Bgp.Session.negotiated s with
+      | Some neg ->
+          let meta = meta_of_conn t pv ~epoch:(Replicator.epoch pv.repl) c neg in
+          let cid = Keys.conn_id ~service:t.cfg.service_id ~vrf:pv.spec.vrf in
+          persistent_set t client [ (Keys.meta_key cid, Keys.encode_meta meta) ]
       | None -> ())
   | _ -> ()
 
@@ -273,28 +240,22 @@ let write_meta t pv =
 let wire_peer_lifecycle t pv peer =
   Bgp.Speaker.on_peer_up peer (fun () ->
       pv.established <- true;
-      (match Bgp.Speaker.peer_session peer with
-      | Some s -> (
-          match Bgp.Session.conn s with
-          | Some c -> Replicator.session_established pv.repl ~irs:(Tcp.irs c)
-          | None -> ())
+      (match live_session pv with
+      | Some (s, c) -> (
+          Replicator.session_established pv.repl ~irs:(Tcp.irs c);
+          (* The held-ACK deadline derives from the *negotiated* hold
+             time: the degraded switch must fire well inside the peer's
+             hold timer (and the default quarter-fraction also sits
+             inside one keepalive interval of slack). *)
+          match Bgp.Session.negotiated s with
+          | Some neg when t.cfg.degrade_frac > 0. ->
+              Replicator.set_degrade_after pv.repl
+                (Some
+                   (Time.of_sec_f
+                      (t.cfg.degrade_frac
+                      *. float_of_int neg.Bgp.Session.hold_time)))
+          | Some _ | None -> ())
       | None -> ());
-      (* The held-ACK deadline derives from the *negotiated* hold time:
-         the degraded switch must fire well inside the peer's hold timer
-         (and the default quarter-fraction also sits inside one keepalive
-         interval of slack). *)
-      (if t.cfg.degrade_frac > 0. then
-         match Bgp.Speaker.peer_session peer with
-         | Some s -> (
-             match Bgp.Session.negotiated s with
-             | Some neg ->
-                 Replicator.set_degrade_after pv.repl
-                   (Some
-                      (Time.of_sec_f
-                         (t.cfg.degrade_frac
-                         *. float_of_int neg.Bgp.Session.hold_time)))
-             | None -> ())
-         | None -> ());
       write_meta t pv;
       start_trimmer t pv;
       wire_tail_source t pv);
@@ -346,39 +307,30 @@ let start_bfd t pv ?resume () =
    the "TCP recovery" completion instant of Table 1. *)
 let watch_tcp_sync ?(span = Telemetry.Span.none) t pv =
   let eng = engine t in
+  (* An Established session always has its connection. *)
   let rec poll () =
-    if not t.crashed then
-      match pv.peer with
-      | Some p when Bgp.Speaker.peer_state p = Bgp.Session.Established -> (
-          match Bgp.Speaker.peer_session p with
-          | Some s -> (
-              match Bgp.Session.conn s with
-              | Some c ->
-                  if
-                    Tcp.state c = Tcp.Established
-                    && Tcp.snd_una c = Tcp.snd_nxt c
-                    && Tcp.snd_nxt c > Tcp.iss c + 1
-                  then begin
-                    Telemetry.Span.finish eng span;
-                    (* The stream is resynchronized; audit Adj-RIB-Out so
-                       any UPDATE the failed primary generated but never
-                       made durable (and therefore never sent) is
-                       regenerated from the checkpointed table. *)
-                    (match t.spk with
-                    | Some spk -> Bgp.Speaker.resync_adj_out spk p
-                    | None -> ());
-                    t.tcp_synced_cb ~vrf:pv.spec.vrf
-                  end
-                  else
-                    ignore
-                      (Engine.schedule_after eng ~label:"app.sync_poll"
-                         (Time.ms 50) poll)
-              | None ->
-                  ignore
-                    (Engine.schedule_after eng ~label:"app.sync_poll"
-                       (Time.ms 50) poll))
-          | None -> ())
-      | Some _ | None -> (* session gone: stop polling *) ()
+    match (pv.peer, live_session pv) with
+    | Some p, Some (s, c)
+      when (not t.crashed) && Bgp.Session.state s = Bgp.Session.Established ->
+        if
+          Tcp.state c = Tcp.Established
+          && Tcp.snd_una c = Tcp.snd_nxt c
+          && Tcp.snd_nxt c > Tcp.iss c + 1
+        then begin
+          Telemetry.Span.finish eng span;
+          (* The stream is resynchronized; audit Adj-RIB-Out so any
+             UPDATE the failed primary generated but never made durable
+             (and therefore never sent) is regenerated from the
+             checkpointed table. *)
+          (match t.spk with
+          | Some spk -> Bgp.Speaker.resync_adj_out spk p
+          | None -> ());
+          t.tcp_synced_cb ~vrf:pv.spec.vrf
+        end
+        else
+          ignore
+            (Engine.schedule_after eng ~label:"app.sync_poll" (Time.ms 50) poll)
+    | _ -> (* session gone: stop polling *) ()
   in
   poll ()
 
@@ -432,17 +384,13 @@ let rearm_from_degraded t pv =
   in
   let rec poll () =
     if (not t.crashed) && Replicator.degraded pv.repl then
-      match (t.client, t.spk, pv.peer) with
-      | Some client, Some spk, Some p
-        when Bgp.Speaker.peer_state p = Bgp.Session.Established -> (
-          match Bgp.Speaker.peer_session p with
-          | Some s -> (
-              match (Bgp.Session.conn s, Bgp.Session.negotiated s) with
-              | Some c, Some neg ->
-                  if Tcp.snd_una c = Tcp.snd_nxt c then
-                    rearm client spk p s c neg
-                  else retry ()
-              | _ -> ())
+      match (t.client, t.spk, pv.peer, live_session pv) with
+      | Some client, Some spk, Some p, Some (s, c)
+        when Bgp.Session.state s = Bgp.Session.Established -> (
+          match Bgp.Session.negotiated s with
+          | Some neg ->
+              if Tcp.snd_una c = Tcp.snd_nxt c then rearm client spk p s c neg
+              else retry ()
           | None -> ())
       | _ -> () (* session gone: session_down already cleared degraded *)
   and retry () =
@@ -508,22 +456,25 @@ let rearm_from_degraded t pv =
 
 (* --- Fresh bootstrap --------------------------------------------------------- *)
 
+(* Every BGP peer the app configures — a VRF's external session, fresh or
+   resumed, and its cluster-internal iBGP sessions — speaks from the
+   VRF's service address with the app's hold time. *)
+let peer_config spec ~remote_addr ~remote_asn ~passive =
+  {
+    (Bgp.Speaker.default_peer_config ~vrf:spec.vrf ~remote_addr ()) with
+    Bgp.Speaker.remote_asn;
+    local_addr = Some spec.vip;
+    passive;
+    hold_time;
+  }
+
 let bootstrap_fresh t spk stack =
   List.iter
     (fun pv ->
       let spec = pv.spec in
       let pc =
-        {
-          (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-             ~remote_addr:spec.peer_addr ())
-          with
-          Bgp.Speaker.remote_asn = spec.peer_asn;
-          local_addr = Some spec.vip;
-          passive = spec.passive;
-          hold_time = t.cfg.hold_time;
-          policy_in = spec.policy_in;
-          policy_out = spec.policy_out;
-        }
+        peer_config spec ~remote_addr:spec.peer_addr ~remote_asn:spec.peer_asn
+          ~passive:spec.passive
       in
       let peer = Bgp.Speaker.add_peer spk pc in
       pv.peer <- Some peer;
@@ -535,18 +486,11 @@ let bootstrap_fresh t spk stack =
       wire_peer_lifecycle t pv peer;
       (* Cluster-internal iBGP sessions (joint containers, §3.2.4). *)
       List.iter
-        (fun (addr, passive) ->
+        (fun (remote_addr, passive) ->
           ignore
             (Bgp.Speaker.add_peer spk
-               {
-                 (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-                    ~remote_addr:addr ())
-                 with
-                 Bgp.Speaker.remote_asn = Some t.cfg.local_asn;
-                 local_addr = Some spec.vip;
-                 passive;
-                 hold_time = t.cfg.hold_time;
-               }))
+               (peer_config spec ~remote_addr ~remote_asn:(Some t.cfg.local_asn)
+                  ~passive)))
         spec.ibgp_peers;
       start_bfd t pv ())
     t.per_vrf;
@@ -574,13 +518,13 @@ let parse_recovery ecid ~meta:r_meta ~bfd:r_bfd cursor_reads outs ins =
   | Ok values ->
       let find key = Option.join (List.assoc_opt key values) in
       let r_watermark =
-        match Option.bind (find (Keys.ack_key ecid)) int_of_string_opt with
+        match Option.bind (find (Keys.ack_key ecid)) Keys.nat_of_string with
         | Some a -> a
         | None -> r_meta.Keys.irs + 1
       in
       let r_outtrim =
         match
-          Option.bind (find (Keys.outtrim_key ecid)) int_of_string_opt
+          Option.bind (find (Keys.outtrim_key ecid)) Keys.nat_of_string
         with
         | Some v -> v
         | None -> 0
@@ -662,16 +606,8 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
         }
       in
       let pc =
-        {
-          (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-             ~remote_addr:spec.peer_addr ())
-          with
-          Bgp.Speaker.remote_asn = Some peer_open.Bgp.Msg.asn;
-          local_addr = Some spec.vip;
-          hold_time = t.cfg.hold_time;
-          policy_in = spec.policy_in;
-          policy_out = spec.policy_out;
-        }
+        peer_config spec ~remote_addr:spec.peer_addr
+          ~remote_asn:(Some peer_open.Bgp.Msg.asn) ~passive:false
       in
       (* A valid replicated fragment is exactly the gap between the last
          complete message and the acknowledged watermark; anything else is
@@ -729,8 +665,8 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
         (Engine.schedule_after (engine t) ~label:"app.tcp_restore"
            tcp_restore_cost (fun () ->
              if not t.crashed then begin
-               (match Bgp.Speaker.peer_session peer with
-               | Some s when Bgp.Session.state s = Bgp.Session.Established ->
+               (match live_session pv with
+               | Some (s, _) when Bgp.Session.state s = Bgp.Session.Established ->
                    Bgp.Session.send s Bgp.Msg.Keepalive
                | _ -> ());
                (* Seeded fault: flap one originated prefix after the
@@ -773,13 +709,10 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
                  ignore
                    (Engine.schedule_after (engine t) ~label:"app.peer_reset"
                       (Time.sec 2) (fun () ->
-                        match Bgp.Speaker.peer_session peer with
-                        | Some s
-                          when Bgp.Session.state s = Bgp.Session.Established
-                          -> (
-                            match Bgp.Session.conn s with
-                            | Some c -> Tcp.abort c
-                            | None -> ())
+                        match live_session pv with
+                        | Some (s, c)
+                          when Bgp.Session.state s = Bgp.Session.Established ->
+                            Tcp.abort c
                         | _ -> ()))
                end;
                let span = Telemetry.Span.start (engine t) "tcp_replay" in
@@ -939,9 +872,9 @@ let bootstrap t () =
   let chain = Netfilter.create ~eng:(Node.engine node) () in
   Tcp.set_output_chain stack (Some chain);
   let client =
-    match (t.cfg.store_replica, t.cfg.store_retry) with
-    | None, false -> Store.Client.create node ~server:t.cfg.store_addr
-    | replica, _ ->
+    match t.cfg.store_client with
+    | Plain -> Store.Client.create node ~server:t.cfg.store_addr
+    | Resilient replica ->
         (* Resilient mode: idempotent, retried, failing over to the
            replica once the primary's budget is exhausted. *)
         Store.Client.create ?replica ~retry:(Rpc.retry_policy ()) node
@@ -978,7 +911,7 @@ let bootstrap t () =
     | [] -> invalid_arg "Tensor app: no VRFs configured"
   in
   let spk =
-    Bgp.Speaker.create ~profile:t.cfg.profile ~hooks:(hooks_for t) ~stack
+    Bgp.Speaker.create ~profile:Baseline.tensor ~hooks:(hooks_for t) ~stack
       ~local_asn:t.cfg.local_asn ~router_id ()
   in
   t.spk <- Some spk;

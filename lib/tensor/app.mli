@@ -25,8 +25,6 @@ type vrf_spec = {
   peer_asn : int option;
   passive : bool;
   run_bfd : bool;
-  policy_in : Bgp.Policy.t;
-  policy_out : Bgp.Policy.t;
   ibgp_peers : (Netsim.Addr.t * bool) list;
       (** Additional iBGP sessions in this VRF — [(address, passive)].
           This is how a {e joint BGP container} (§3.2.4) synchronizes
@@ -46,20 +44,26 @@ val vrf_spec :
   ?ibgp_peers:(Netsim.Addr.t * bool) list ->
   unit ->
   vrf_spec
-(** Defaults: active opener, BFD on, empty policies, no iBGP peers. *)
+(** Defaults: active opener, BFD on, no iBGP peers. Every session runs
+    without import or export policy ({!Bgp.Policy.empty}). *)
+
+val hold_time : int
+(** The hold time (90 s) every session of the app proposes; the
+    negotiated value is the smaller of this and the peer's. The runtime
+    checkers derive their deadlines from it. *)
+
+(** The store client: [Plain] makes one attempt per operation;
+    [Resilient replica] retries idempotent operations and, with a
+    replica, fails over to it once the primary's retry budget is
+    spent. *)
+type store_client = Plain | Resilient of Netsim.Addr.t option
 
 type config = {
   service_id : string;
   store_addr : Netsim.Addr.t;
-  store_replica : Netsim.Addr.t option;
-      (** Failover target for the store client (default none). *)
-  store_retry : bool;
-      (** Use a resilient store client (idempotent retried ops) even
-          without a replica. Either this or [store_replica] switches the
-          client out of the plain one-attempt mode. *)
+  store_client : store_client;  (** Default [Plain]. *)
   controller_addr : Netsim.Addr.t option;
   local_asn : int;
-  hold_time : int;
   degrade_frac : float;
       (** Degraded-store survival: fraction of the {e negotiated} hold
           time after which unachievable durability (a held ACK or a
@@ -71,7 +75,6 @@ type config = {
           the app re-arms NSR under a fresh epoch, audits Adj-RIB-Out
           via the resync path and rewrites the rib| checkpoint. *)
   vrfs : vrf_spec list;
-  profile : Bgp.Speaker.profile;
   replicate : bool;  (** Ablation: disable replication entirely. *)
   ack_hold : bool;  (** Ablation: replicate but never delay ACKs. *)
 }
@@ -79,18 +82,16 @@ type config = {
 val config :
   service_id:string ->
   store_addr:Netsim.Addr.t ->
-  ?store_replica:Netsim.Addr.t ->
-  ?store_retry:bool ->
+  ?store_client:store_client ->
   ?controller_addr:Netsim.Addr.t ->
   local_asn:int ->
-  ?hold_time:int ->
   ?degrade_frac:float ->
-  ?profile:Bgp.Speaker.profile ->
   ?replicate:bool ->
   ?ack_hold:bool ->
   vrf_spec list ->
   config
-(** Raises [Invalid_argument] unless [degrade_frac] is in [\[0, 1)]. *)
+(** Raises [Invalid_argument] unless [degrade_frac] is in [\[0, 1)]. The
+    speaker always runs TENSOR's profile ({!Baseline.tensor}). *)
 
 type mode = Fresh | Recover
 

@@ -14,12 +14,11 @@ let peer_name = "peerAS"
 let vrf = "v0"
 let scenarios = [ "failover"; "planned"; "split-brain"; "degraded" ]
 
-(* The degraded scenario's deadline: fraction of the negotiated 90 s
-   hold time after which an unreachable store suspends NSR. Shared with
+(* The degraded scenario's deadline: fraction of the negotiated hold
+   time ([App.hold_time], 90 s) after which an unreachable store suspends NSR. Shared with
    the checker config so [degraded_mode_exclusion] verifies the same
    bound the replicator promised. *)
 let degrade_frac = 0.1
-let hold_time_s = 90.
 
 let kind_name k = Format.asprintf "%a" Orch.Controller.pp_failure_kind k
 
@@ -179,7 +178,7 @@ let split_brain () =
 
 let degraded () =
   with_monitor
-    ~ack_deadline_s:(degrade_frac *. hold_time_s)
+    ~ack_deadline_s:(degrade_frac *. float_of_int App.hold_time)
     ~scenario:"degraded"
   @@ fun mon ->
   let dep, peer, vip, svc = setup ~store_resilient:true ~degrade_frac mon in

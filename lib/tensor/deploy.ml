@@ -314,11 +314,10 @@ let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
   let store_addr = Option.value store_addr ~default:t.store_addr in
   let cfg =
     App.config ~service_id:id ~store_addr
-      ?store_replica:
+      ~store_client:
         (if store_resilient then
-           Option.map Store.Server.addr t.store_replica_server
-         else None)
-      ~store_retry:store_resilient
+           App.Resilient (Option.map Store.Server.addr t.store_replica_server)
+         else App.Plain)
       ~controller_addr:(Orch.Controller.addr t.ctrl) ~local_asn ~degrade_frac
       ~replicate ~ack_hold vrfs
   in

@@ -96,7 +96,7 @@ let print r =
     r.host_failure_migrated;
   Report.kv "peering-AS session drops" "%d (zero = fleet-wide NSR)"
     r.peer_drops;
-  Report.kv "simulator" "%d events in %.1f s wall" r.sim_events r.wall_s;
+  Report.wall_kv "simulator" "%d events in %.1f s wall" r.sim_events r.wall_s;
   Report.note
     "the paper's fleet: 400 servers and 31,000 connections with two years of";
   Report.note

@@ -26,10 +26,21 @@ let rib_key ~service ~vrf prefix =
 
 let rib_prefix ~service = "rib|" ^ service ^ "|"
 
+(* A non-negative decimal as every writer here prints it: ASCII digits
+   only, so no sign, underscore or radix prefix; [None] on overflow.
+   Top-level recursion rather than [String.for_all], whose local loop
+   allocates a closure per call. *)
+let rec digits_from s i =
+  i = String.length s
+  || (match s.[i] with '0' .. '9' -> digits_from s (i + 1) | _ -> false)
+
+let nat_of_string s =
+  if s <> "" && digits_from s 0 then int_of_string_opt s else None
+
 let tail_int ~prefix key =
-  let plen = String.length prefix in
-  if String.length key > plen && String.sub key 0 plen = prefix then
-    int_of_string_opt (String.sub key plen (String.length key - plen))
+  if String.starts_with ~prefix key then
+    let plen = String.length prefix in
+    nat_of_string (String.sub key plen (String.length key - plen))
   else None
 
 let seq_of_in_key cid key = tail_int ~prefix:(in_prefix cid) key
@@ -38,7 +49,7 @@ let offset_of_out_key cid key = tail_int ~prefix:(out_prefix cid) key
 let vrf_prefix_of_rib_key ~service key =
   let pfx = rib_prefix ~service in
   let plen = String.length pfx in
-  if String.length key > plen && String.sub key 0 plen = pfx then
+  if String.starts_with ~prefix:pfx key then
     let rest = String.sub key plen (String.length key - plen) in
     match String.index_opt rest '|' with
     | Some i -> (
@@ -139,13 +150,15 @@ let fields s =
 let decode_meta s =
   let f = fields s in
   let get k = List.assoc_opt k f in
-  let geti k = Option.bind (get k) int_of_string_opt in
+  let geti k = Option.bind (get k) nat_of_string in
+  (* Records from before connection epochs carry no [ep]: epoch 0. *)
+  let epoch = match get "ep" with None -> Some 0 | Some v -> nat_of_string v in
   match
-    ( get "vrf", get "la", geti "lp", get "pa", geti "pp", geti "asn",
+    ( epoch, get "vrf", get "la", geti "lp", get "pa", geti "pp", geti "asn",
       geti "hold", get "as4", geti "iss", geti "irs", geti "mss",
       geti "rwnd", get "gr", geti "grt", get "open" )
   with
-  | ( Some vrf, Some la, Some local_port, Some pa, Some peer_port,
+  | ( Some epoch, Some vrf, Some la, Some local_port, Some pa, Some peer_port,
       Some local_asn, Some hold_time, Some as4, Some iss, Some irs, Some mss,
       Some rcv_wnd, Some gr, Some peer_gr_restart_time, Some open_hex ) -> (
       match unhex open_hex with
@@ -154,7 +167,7 @@ let decode_meta s =
           try
             Ok
               {
-                epoch = (match geti "ep" with Some e -> e | None -> 0);
+                epoch;
                 vrf;
                 local_addr = Netsim.Addr.of_string la;
                 local_port;
@@ -182,7 +195,7 @@ let decode_in_record s =
   match String.index_opt s ':' with
   | None -> Error "no ack separator"
   | Some i -> (
-      match int_of_string_opt (String.sub s 0 i) with
+      match nat_of_string (String.sub s 0 i) with
       | None -> Error "bad ack"
       | Some ack -> Ok (ack, String.sub s (i + 1) (String.length s - i - 1)))
 
@@ -267,7 +280,7 @@ let decode_rib_entry s =
   let get k = List.assoc_opt k f in
   match (get "sk", get "pasn", get "paddr", get "rid", get "ebgp", get "u") with
   | Some key, Some pasn, Some paddr, Some rid, Some ebgp, Some u_hex -> (
-      match (int_of_string_opt pasn, unhex u_hex) with
+      match (nat_of_string pasn, unhex u_hex) with
       | Some peer_asn, Ok raw -> (
           match Bgp.Msg.decode raw with
           | Ok (Bgp.Msg.Update { attrs = Some attrs; nlri = [ prefix ]; _ }) -> (
@@ -300,7 +313,7 @@ let decode_part s =
   | None -> Error "no part separator"
   | Some i -> (
       match
-        ( int_of_string_opt (String.sub s 0 i),
+        ( nat_of_string (String.sub s 0 i),
           unhex (String.sub s (i + 1) (String.length s - i - 1)) )
       with
       | Some offset, Ok bytes -> Ok (offset, bytes)
@@ -309,7 +322,7 @@ let decode_part s =
 let decode_bfd s =
   match String.split_on_char '|' s with
   | [ a; b ] -> (
-      match (int_of_string_opt a, int_of_string_opt b) with
+      match (nat_of_string a, nat_of_string b) with
       | Some my_disc, Some your_disc -> Ok (my_disc, your_disc)
       | _ -> Error "bad bfd discs")
   | _ -> Error "bad bfd record"

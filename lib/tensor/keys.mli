@@ -52,6 +52,12 @@ val part_key : conn_id -> string
 val rib_key : service:string -> vrf:string -> Netsim.Addr.prefix -> string
 val rib_prefix : service:string -> string
 
+val nat_of_string : string -> int option
+(** The one integer reader of every decoder here: a non-negative decimal
+    of ASCII digits only (leading zeros allowed), as [string_of_int] and
+    [%012d] write it. A sign, an underscore, a radix prefix or a value
+    past [max_int] gives [None]. *)
+
 val seq_of_in_key : conn_id -> string -> int option
 val offset_of_out_key : conn_id -> string -> int option
 val vrf_prefix_of_rib_key : service:string -> string -> (string * Netsim.Addr.prefix) option

@@ -286,8 +286,10 @@ let release_ready t =
       end
 
 (* The confirmation read of §3.1.2: tcp_queue trusts the watermark only
-   after reading it back from the database. *)
-let rec confirm_watermark t =
+   after reading it back from the database. [durable] is an ACK whose
+   write just completed; it raises the target the read confirms. *)
+let rec confirm_watermark t ~durable =
+  if durable > t.wm_target then t.wm_target <- durable;
   if (not t.confirm_inflight) && not t.stopped then begin
     match t.wm with
     | Some wm when t.wm_target > wm ->
@@ -297,7 +299,7 @@ let rec confirm_watermark t =
             t.confirm_inflight <- false;
             (match result with
             | Ok [ (_, Some v) ] -> (
-                match int_of_string_opt v with
+                match Keys.nat_of_string v with
                 | Some confirmed ->
                     (match t.wm with
                     | Some old when confirmed > old ->
@@ -311,7 +313,7 @@ let rec confirm_watermark t =
                 | None -> ())
             | Ok _ | Error `Timeout -> ());
             (* The target may have advanced again meanwhile. *)
-            confirm_watermark t)
+            confirm_watermark t ~durable:0)
     | _ -> ()
   end
 
@@ -336,9 +338,9 @@ let degraded_seconds t =
   | Some since -> Time.to_sec_f (Time.diff (Engine.now t.eng) since)
   | None -> 0.
 
-(* Leaving degraded mode without a re-arm (the transport died instead):
-   successor-session bookkeeping starts from whatever path runs next. *)
-let clear_degraded t =
+(* The one way out of degraded mode, for a re-arm and a transport death
+   alike: whichever path runs next sets the stream cursors. *)
+let leave_degraded t =
   if t.degraded then begin
     let degraded_s = degraded_seconds t in
     t.degraded <- false;
@@ -352,6 +354,56 @@ let clear_degraded t =
         (Telemetry.Event.Degraded_exit
            { conn = t.cid; degraded_s; epoch = t.epoch })
   end
+
+(* Lets every held ACK out without watermark cover, oldest first: [shed]
+   when a degrade suspends NSR, dropped when the connection is gone (so
+   the end-of-run balance held = released + shed + dropped closes). *)
+let flush_held t ~shed =
+  let now = Engine.now t.eng in
+  while not (Queue.is_empty t.held) do
+    let ack, since, reinject = Queue.pop t.held in
+    if shed then begin
+      Telemetry.Registry.incr m_acks_shed;
+      if Telemetry.Gate.on () then
+        Telemetry.Bus.emit t.eng
+          (Telemetry.Event.Ack_shed
+             { conn = t.cid; ack; held_s = Time.to_sec_f (Time.diff now since) })
+    end
+    else if Telemetry.Gate.on () then
+      Telemetry.Bus.emit t.eng (Telemetry.Event.Ack_dropped { conn = t.cid; ack });
+    reinject Netfilter.Accept
+  done
+
+(* Outside the per-message paths, the stream cursors are set here and
+   nowhere else: every arming and disarming path differs only in the
+   values it passes, and an omitted value is kept. [wm = None] disarms
+   (pass-through: nothing is held); [Some ack] arms the stream at [ack],
+   announces it durable and releases the held ACKs it covers.
+   [out_records] replaces the retained send records; [drop_unapplied]
+   forgets the in| replicas still awaiting apply. *)
+let set_cursors t ?(epoch = t.epoch) ?(written = t.written)
+    ?(outtrim = t.outtrim) ?(in_seq = t.in_seq)
+    ?(part_written = t.part_written) ?out_records ?(drop_unapplied = false)
+    wm =
+  t.epoch <- epoch;
+  t.wm <- wm;
+  t.wm_target <- Option.value wm ~default:0;
+  t.written <- written;
+  t.outtrim <- outtrim;
+  t.in_seq <- in_seq;
+  t.part_written <- part_written;
+  Option.iter
+    (fun records ->
+      Queue.clear t.out_records;
+      List.iter (fun r -> Queue.push r t.out_records) records)
+    out_records;
+  if drop_unapplied then Queue.clear t.unapplied;
+  match wm with
+  | None -> ()
+  | Some ack ->
+      if Telemetry.Gate.on () then
+        Telemetry.Bus.emit t.eng (Telemetry.Event.Wm_durable { conn = t.cid; ack });
+      release_ready t
 
 let shed_lane lane =
   Option.iter fire lane.current;
@@ -399,20 +451,10 @@ let enter_degraded t =
            { conn = t.cid; held = Queue.length t.held; oldest_held_s });
     (* Shed every held ACK — released to the peer without durability
        cover, which is exactly the suspension being declared. *)
-    while not (Queue.is_empty t.held) do
-      let ack, since, reinject = Queue.pop t.held in
-      let held_s = Time.to_sec_f (Time.diff now since) in
-      Telemetry.Registry.incr m_acks_shed;
-      if Telemetry.Gate.on () then
-        Telemetry.Bus.emit t.eng
-          (Telemetry.Event.Ack_shed { conn = t.cid; ack; held_s });
-      reinject Netfilter.Accept
-    done;
-    t.wm <- None; (* pass-through: nothing is held while degraded *)
-    t.wm_target <- 0;
+    flush_held t ~shed:true;
+    set_cursors t ~drop_unapplied:true None;
     shed_lane t.ctl;
     shed_lane t.bulk;
-    Queue.clear t.unapplied;
     if t.heal_probe = None then
       t.heal_probe <-
         Some
@@ -420,65 +462,34 @@ let enter_degraded t =
                heal_probe_tick t))
   end
 
+(* While degraded the watermark is already cleared: only the epoch
+   moves. *)
 let prepare_rearm t =
   if not t.degraded then invalid_arg "Replicator.prepare_rearm: not degraded";
-  t.epoch <- t.epoch + 1;
+  set_cursors t ~epoch:(t.epoch + 1) None;
   t.epoch
 
+(* The stream was quiesced, so every send byte is acknowledged: the
+   fresh epoch starts with no retained records. *)
 let complete_rearm t ~watermark ~stream_offset ~part_written =
   if t.degraded then begin
-    let degraded_s = degraded_seconds t in
-    t.degraded <- false;
-    t.degraded_since <- None;
-    t.gen <- t.gen + 1;
-    t.heal_inflight <- false;
-    stop_heal_probe t;
-    t.ctl.blocked_since <- None;
-    t.bulk.blocked_since <- None;
-    t.wm <- Some watermark;
-    t.wm_target <- watermark;
-    t.in_seq <- 0;
-    t.written <- stream_offset;
-    t.outtrim <- stream_offset;
-    Queue.clear t.out_records;
-    t.part_written <- part_written;
-    Queue.clear t.unapplied;
-    Telemetry.Registry.observe m_degraded_s degraded_s;
-    if Telemetry.Gate.on () then begin
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Degraded_exit
-           { conn = t.cid; degraded_s; epoch = t.epoch });
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Wm_durable { conn = t.cid; ack = watermark })
-    end;
-    release_ready t
+    leave_degraded t;
+    set_cursors t ~in_seq:0 ~written:stream_offset ~outtrim:stream_offset
+      ~out_records:[] ~part_written ~drop_unapplied:true (Some watermark)
   end
 
-let session_established t ~irs =
-  t.wm <- Some (irs + 1);
-  t.wm_target <- irs + 1;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Wm_durable { conn = t.cid; ack = irs + 1 });
-  release_ready t
+(* Only the watermark: the handshake's OPEN and KEEPALIVEs were already
+   replicated under this epoch's in| and out| counters. *)
+let session_established t ~irs = set_cursors t (Some (irs + 1))
 
 let session_down t =
   (* A transport death ends any degraded window: the successor session
      starts with NSR armed (and will re-degrade if the store is still
      out). *)
-  clear_degraded t;
-  (* The connection is gone; its sequence space dies with it. Drop back
-     to pass-through so the successor's handshake is not judged against
-     a stale watermark, and flush anything still held (the dead
-     connection cannot ACK it out). *)
-  t.wm <- None;
-  while not (Queue.is_empty t.held) do
-    let ack, _, reinject = Queue.pop t.held in
-    if Telemetry.Gate.on () then
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Ack_dropped { conn = t.cid; ack });
-    reinject Netfilter.Accept
-  done;
+  leave_degraded t;
+  (* The connection is gone; its sequence space dies with it. Flush
+     anything still held: the dead connection cannot ACK it out. *)
+  flush_held t ~shed:false;
   (* Retire the dead stream's send-side accounting and roll the epoch
      BEFORE a successor connection sends its first byte. Without this, a
      re-established session's tx offsets would continue where the dead
@@ -501,27 +512,15 @@ let session_down t =
     Queue.fold (fun acc st -> st.in_key :: acc) stale t.unapplied
   in
   let stale = Keys.ack_key old :: Keys.outtrim_key old :: stale in
-  Queue.clear t.unapplied;
-  t.in_seq <- 0;
-  t.written <- 0;
-  t.outtrim <- 0;
-  Queue.clear t.out_records;
-  t.part_written <- false;
-  t.epoch <- t.epoch + 1;
+  (* Pass-through, so the successor's handshake is not judged against a
+     stale watermark. *)
+  set_cursors t ~epoch:(t.epoch + 1) ~in_seq:0 ~written:0 ~outtrim:0
+    ~out_records:[] ~part_written:false ~drop_unapplied:true None;
   if t.replicate && not t.stopped then submit t t.bulk (Del stale)
 
 let resume_at t ~epoch ~watermark ~bytes_written ~in_seq ~outtrim ~out_records =
-  t.epoch <- epoch;
-  t.wm <- Some watermark;
-  t.wm_target <- watermark;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Wm_durable { conn = t.cid; ack = watermark });
-  t.written <- bytes_written;
-  t.in_seq <- in_seq;
-  t.outtrim <- outtrim;
-  Queue.clear t.out_records;
-  List.iter (fun r -> Queue.push r t.out_records) out_records
+  set_cursors t ~epoch ~written:bytes_written ~outtrim ~in_seq ~out_records
+    (Some watermark)
 
 let attach_output_chain t chain ~local ~remote =
   if t.ack_hold then begin
@@ -588,13 +587,8 @@ let check_stall t =
                        (Keys.part_key (ecid t), Keys.encode_part ~offset ~bytes);
                        (Keys.ack_key (ecid t), string_of_int inferred_ack);
                      ],
-                     [
-                       (fun () ->
-                         if inferred_ack > t.wm_target then begin
-                           t.wm_target <- inferred_ack;
-                           confirm_watermark t
-                         end);
-                     ] ))
+                     [ (fun () -> confirm_watermark t ~durable:inferred_ack) ]
+                   ))
           | Some _ | None -> ())
       | None -> ()
   end
@@ -662,10 +656,7 @@ let on_rx_message t msg ~inferred_ack =
       submit t t.ctl (Del [ Keys.part_key (ecid t) ])
     end;
     let on_durable () =
-      if inferred_ack > t.wm_target then begin
-        t.wm_target <- inferred_ack;
-        confirm_watermark t
-      end;
+      confirm_watermark t ~durable:inferred_ack;
       st.durable <- true;
       (* Non-update messages carry no table state: trim immediately;
          update replicas wait until they are also applied. *)
@@ -767,12 +758,4 @@ let stop t =
       Engine.stop_timer w;
       t.watchdog <- None
   | None -> ());
-  while not (Queue.is_empty t.held) do
-    let ack, _, reinject = Queue.pop t.held in
-    (* Flushed at detach without watermark cover: report so the
-       end-of-run queue balance (held = released + dropped) closes. *)
-    if Telemetry.Gate.on () then
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Ack_dropped { conn = t.cid; ack });
-    reinject Netfilter.Accept
-  done
+  flush_held t ~shed:false

@@ -53,20 +53,41 @@ val attach_output_chain :
 (** Installs the OUTPUT rule diverting this connection's egress segments
     to the replicator's queue, and registers the tcp_queue consumer. *)
 
+(** {2 Arming the stream}
+
+    A stream's cursors are the ACK watermark, the connection {!epoch},
+    the receive counter that numbers [in|] keys, the send offset and the
+    trimmed offset ([out|], [outtrim|]), the retained send records,
+    whether a [part|] record exists, and the [in|] replicas awaiting
+    apply. Outside the per-message paths one private function sets them;
+    each entry point passes its values and keeps every other cursor:
+
+    - {!session_established}: the watermark only. The handshake's
+      replicas keep their [in|]/[out|] numbering.
+    - {!resume_at}: everything a predecessor recorded — epoch,
+      watermark, receive counter, send and trimmed offsets, records.
+    - {!prepare_rearm}: the epoch, moved forward.
+    - {!complete_rearm}: watermark; receive counter 0; send and trimmed
+      offsets [stream_offset] with no records; [part_written]; no
+      unapplied replicas.
+    - {!session_down}: no watermark; epoch moved forward; counters,
+      records, [part|] flag and unapplied replicas reset.
+    - entering degraded mode: no watermark, no unapplied replicas.
+
+    Arming (a watermark) emits [Wm_durable] and releases every held ACK
+    it covers; disarming makes the tcp_queue pass everything. *)
+
 val session_established : t -> irs:int -> unit
-(** Initializes the watermark to [irs + 1]. Until this call, handshake
-    segments pass unheld (there is nothing application-level to protect
-    yet). *)
+(** Arms the watermark at [irs + 1]. Until this call, handshake segments
+    pass unheld (there is nothing application-level to protect yet). *)
 
 val session_down : t -> unit
-(** The session's transport died without a handover: clears the
-    watermark (back to pass-through, so a successor connection's
-    handshake is not held against the dead stream's sequence space),
-    flushes held segments (reported as [Ack_dropped]), retires the dead
-    stream's send/receive accounting, and rolls the connection {!epoch}
-    so a successor connection writes its stream records under a fresh
-    key space. A later {!session_established} re-arms holding for the
-    new stream. *)
+(** The session's transport died without a handover: ends any degraded
+    window, flushes held segments (reported as [Ack_dropped]), deletes
+    the dead stream's records and disarms under a fresh epoch, so a
+    successor connection's handshake is not held against the dead
+    sequence space and its records land in a fresh key space. A later
+    {!session_established} re-arms holding for the new stream. *)
 
 val epoch : t -> int
 (** The current connection epoch (0 for the first connection). The meta
@@ -83,7 +104,7 @@ val resume_at :
   outtrim:int ->
   out_records:(int * int) list ->
   unit
-(** Recovery path: continue a predecessor's counters under its recorded
+(** Recovery path: continue a predecessor's cursors under its recorded
     epoch. [out_records] are the retained (offset, length) outbound
     replicas, re-tracked for future trimming. *)
 
@@ -168,10 +189,10 @@ val prepare_rearm : t -> int
 
 val complete_rearm :
   t -> watermark:int -> stream_offset:int -> part_written:bool -> unit
-(** Ends the degraded episode: the watermark and send-stream accounting
-    restart from the freshly written baselines ([stream_offset] for both
-    written and trimmed — the stream was quiesced), and held-ACK
-    discipline resumes. *)
+(** Ends the degraded episode ([Degraded_exit]), then arms from the
+    freshly written baselines ([stream_offset] for both written and
+    trimmed — the stream was quiesced), so [Wm_durable] follows. A no-op
+    unless degraded. *)
 
 val drain : t -> (unit -> unit) -> unit
 (** Invokes the callback once every queued store operation (both lanes)

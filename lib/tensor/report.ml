@@ -1,18 +1,37 @@
-(* Report output settings are domain-local: the CSV sink and section
-   slugs belong to whichever domain is printing an experiment, so a
-   campaign worker can never redirect (or renumber) the main domain's
-   report files. *)
+(* Report output settings are domain-local: the CSV sink, section slugs
+   and the digest of the printed text belong to whichever domain is
+   printing an experiment, so a campaign worker can never redirect (or
+   renumber, or fold its text into) the main domain's report. *)
 type state = {
   mutable csv_dir : string option;
   mutable current_slug : string;
   mutable slug_counter : int;
+  mutable digest : Digest.t; (* of the text printed so far *)
 }
 
 let key =
   Domain.DLS.new_key (fun () ->
-      { csv_dir = None; current_slug = "output"; slug_counter = 0 })
+      {
+        csv_dir = None;
+        current_slug = "output";
+        slug_counter = 0;
+        digest = Digest.string "";
+      })
 
 let state () = Domain.DLS.get key
+
+(* Every line of a report goes through here: printed, and folded into
+   the domain's running digest. *)
+let print s =
+  let st = state () in
+  st.digest <- Digest.string (st.digest ^ s);
+  Format.printf "%s@?" s
+
+let digest_of f =
+  let st = state () in
+  st.digest <- Digest.string "";
+  f ();
+  Digest.to_hex st.digest
 
 let set_csv_dir d =
   (state ()).csv_dir <- d;
@@ -33,13 +52,15 @@ let section title =
   st.current_slug <- slugify title;
   st.slug_counter <- 0;
   let line = String.make (String.length title + 4) '=' in
-  Format.printf "@.%s@.= %s =@.%s@." line title line
+  print (Printf.sprintf "\n%s\n= %s =\n%s\n" line title line)
 
-let subsection title = Format.printf "@.-- %s --@." title
+let subsection title = print (Printf.sprintf "\n-- %s --\n" title)
 
 let kv label fmt =
-  Format.printf "  %-34s: " label;
-  Format.kfprintf (fun f -> Format.pp_print_newline f ()) Format.std_formatter fmt
+  Format.kasprintf (fun v -> print (Printf.sprintf "  %-34s: %s\n" label v)) fmt
+
+let wall_kv label fmt =
+  Format.kasprintf (fun v -> Format.printf "  %-34s: %s@." label v) fmt
 
 let csv_escape cell =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
@@ -79,22 +100,23 @@ let table ~header rows =
   in
   let widths = List.init ncols width in
   let print_row row =
-    Format.printf "  ";
+    let b = Buffer.create 80 in
+    Buffer.add_string b "  ";
     List.iteri
       (fun c w ->
         let cell = match List.nth_opt row c with Some s -> s | None -> "" in
-        Format.printf "%-*s  " w cell)
+        Printf.bprintf b "%-*s  " w cell)
       widths;
-    Format.printf "@."
+    Buffer.add_char b '\n';
+    print (Buffer.contents b)
   in
   print_row header;
-  Format.printf "  %s@."
-    (String.concat "  " (List.map (fun w -> String.make w '-') widths));
+  print
+    (Printf.sprintf "  %s\n"
+       (String.concat "  " (List.map (fun w -> String.make w '-') widths)));
   List.iter print_row rows
 
-let note fmt =
-  Format.printf "  > ";
-  Format.kfprintf (fun f -> Format.pp_print_newline f ()) Format.std_formatter fmt
+let note fmt = Format.kasprintf (fun v -> print ("  > " ^ v ^ "\n")) fmt
 
 let fseconds s =
   if Float.is_nan s then "-"

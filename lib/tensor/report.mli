@@ -19,6 +19,17 @@ val table : header:string list -> string list list -> unit
 val note : ('a, Format.formatter, unit, unit) format4 -> 'a
 (** An indented free-form remark (e.g. paper reference values). *)
 
+val wall_kv : string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** {!kv} for a host wall-clock value: printed the same way, but left out
+    of {!digest_of}, which must repeat from run to run. *)
+
+val digest_of : (unit -> unit) -> string
+(** [digest_of f] runs [f] and returns the hex MD5 of the text this
+    domain printed through this module meanwhile — every line except
+    {!wall_kv}'s. The simulated results are deterministic, so the digest
+    pins an experiment's output: the bench snapshot records it as
+    [result_digest]. *)
+
 val fseconds : float -> string
 (** Seconds with adaptive precision ("2.26 s", "105 ms"). *)
 

@@ -18,7 +18,7 @@ type t = {
 let label_matches pat l =
   String.equal pat l
   || (String.length l > String.length pat
-     && String.sub l 0 (String.length pat) = pat
+     && String.starts_with ~prefix:pat l
      && l.[String.length pat] = '.')
 
 (* The last finished span with this name: recovery queries ask about the

@@ -10,17 +10,18 @@ let checkb = Alcotest.(check bool)
 
 type rig = {
   eng : Engine.t;
+  db : Node.t;
   server : Store.Server.t;
   repl : Tensor.Replicator.t;
   cid : Tensor.Keys.conn_id;
 }
 
-let make_rig ?(replicate = true) ?(ack_hold = true) () =
+let make_rig ?(replicate = true) ?(ack_hold = true) ?(delay = Time.us 100) () =
   let eng = Engine.create () in
   let net = Network.create eng in
   let app = Network.add_node net "app" in
   let db = Network.add_node net "db" in
-  let _, _, db_addr = Network.connect net ~delay:(Time.us 100) app db in
+  let _, _, db_addr = Network.connect net ~delay app db in
   let server = Store.Server.create ~cost:Store.free_cost_model db in
   let client = Store.Client.create app ~server:db_addr in
   let cid = Tensor.Keys.conn_id ~service:"rig" ~vrf:"v0" in
@@ -28,7 +29,7 @@ let make_rig ?(replicate = true) ?(ack_hold = true) () =
     Tensor.Replicator.create ~replicate ~ack_hold ~engine:eng ~client
       ~conn_id:cid ~service:"rig" ()
   in
-  { eng; server; repl; cid }
+  { eng; db; server; repl; cid }
 
 let keepalive = Bgp.Msg.Keepalive
 
@@ -304,34 +305,184 @@ let test_drain_fires_when_quiet () =
   Engine.run r.eng;
   checkb "drained" true !drained
 
-let test_stop_releases_held () =
-  (* A held reinjection must not be wedged by stop. *)
-  let r = make_rig () in
+(* The rig's OUTPUT chain: [send ack] pushes one pure ACK through it and
+   counts what comes out. *)
+let with_chain r =
   let chain = Netfilter.create () in
   Tensor.Replicator.attach_output_chain r.repl chain
     ~local:(Addr.of_string "1.1.1.1") ~remote:(Addr.of_string "2.2.2.2");
+  let emitted = ref 0 in
+  let send ack =
+    let seg =
+      {
+        Tcp.Segment.src_port = 179;
+        dst_port = 179;
+        seq = 0;
+        ack;
+        window = 1000;
+        payload = "";
+        flags = Tcp.Segment.flag_ack;
+      }
+    in
+    Netfilter.traverse chain
+      (Packet.make ~src:(Addr.of_string "1.1.1.1")
+         ~dst:(Addr.of_string "2.2.2.2") ~size:40 (Tcp.Segment.Tcp seg))
+      ~emit:(fun _ -> incr emitted)
+  in
+  (send, emitted)
+
+let test_stop_releases_held () =
+  (* A held reinjection must not be wedged by stop. *)
+  let r = make_rig () in
+  let send, emitted = with_chain r in
   Tensor.Replicator.session_established r.repl ~irs:1000;
   (* A segment acking beyond the watermark gets held. *)
-  let seg =
-    {
-      Tcp.Segment.src_port = 179;
-      dst_port = 179;
-      seq = 0;
-      ack = 99_999;
-      window = 1000;
-      payload = "";
-      flags = Tcp.Segment.flag_ack;
-    }
-  in
-  let emitted = ref 0 in
-  Netfilter.traverse chain
-    (Packet.make ~src:(Addr.of_string "1.1.1.1") ~dst:(Addr.of_string "2.2.2.2")
-       ~size:40 (Tcp.Segment.Tcp seg))
-    ~emit:(fun _ -> incr emitted);
+  send 99_999;
   checki "held" 1 (Tensor.Replicator.held_segments r.repl);
   Tensor.Replicator.stop r.repl;
   checki "released on stop" 0 (Tensor.Replicator.held_segments r.repl);
   checki "emitted" 1 !emitted
+
+(* --- Degraded pass-through and re-arm ---------------------------------------- *)
+
+(* The replicator's own bus events, by name, oldest first. *)
+let names entries =
+  List.filter_map
+    (fun (e : Telemetry.Bus.entry) ->
+      match e.event with
+      | Telemetry.Event.Ack_held _ | Ack_released _ | Ack_dropped _ | Ack_shed _
+      | Degraded_enter _ | Degraded_exit _ | Wm_durable _ ->
+          Some (Telemetry.Event.name e.event)
+      | _ -> None)
+    entries
+
+let acks_of pick entries =
+  List.filter_map (fun (e : Telemetry.Bus.entry) -> pick e.event) entries
+
+(* Stop the store node while two ACKs are held: past the deadline both
+   are shed (released without cover) and the session runs unprotected. *)
+let degrade r send =
+  Tensor.Replicator.set_degrade_after r.repl (Some (Time.ms 200));
+  Tensor.Replicator.session_established r.repl ~irs:1000;
+  Node.set_up r.db false;
+  Tensor.Replicator.on_rx_message r.repl (update 1) ~inferred_ack:1100;
+  send 1100;
+  send 1200;
+  Engine.run_for r.eng (Time.ms 400)
+
+let test_degrade_sheds_held_acks () =
+  let r = make_rig () in
+  let send, emitted = with_chain r in
+  let (), entries = Telemetry.Bus.capture (fun () -> degrade r send) in
+  checkb "degraded" true (Tensor.Replicator.degraded r.repl);
+  checki "nothing held" 0 (Tensor.Replicator.held_segments r.repl);
+  checki "both released" 2 !emitted;
+  Alcotest.(check (list int))
+    "shed in order"
+    [ 1100; 1200 ]
+    (acks_of
+       (function Telemetry.Event.Ack_shed { ack; _ } -> Some ack | _ -> None)
+       entries);
+  checkb "no ACK reported dropped" true
+    (not (List.mem "ack_dropped" (names entries)));
+  checkb "watermark cleared" true (Tensor.Replicator.watermark r.repl = None);
+  (* Pass-through: a new ACK is not held while degraded. *)
+  send 1300;
+  checki "passes through" 3 !emitted
+
+let held_then_dropped finish =
+  let r = make_rig () in
+  let send, emitted = with_chain r in
+  Tensor.Replicator.session_established r.repl ~irs:1000;
+  Node.set_up r.db false;
+  let (), entries =
+    Telemetry.Bus.capture (fun () ->
+        send 1100;
+        send 1200;
+        finish r.repl)
+  in
+  checki "released" 2 !emitted;
+  checki "nothing held" 0 (Tensor.Replicator.held_segments r.repl);
+  Alcotest.(check (list int))
+    "dropped in order"
+    [ 1100; 1200 ]
+    (acks_of
+       (function Telemetry.Event.Ack_dropped { ack; _ } -> Some ack | _ -> None)
+       entries);
+  checkb "none shed" true (not (List.mem "ack_shed" (names entries)))
+
+let test_session_down_drops_held () =
+  held_then_dropped Tensor.Replicator.session_down
+
+let test_stop_drops_held () = held_then_dropped Tensor.Replicator.stop
+
+let test_rearm_restores_baseline () =
+  let r = make_rig () in
+  let send, emitted = with_chain r in
+  degrade r send;
+  checkb "degraded" true (Tensor.Replicator.degraded r.repl);
+  let rearmed_epoch = ref None in
+  Tensor.Replicator.set_on_store_healed r.repl (fun () ->
+      let epoch = Tensor.Replicator.prepare_rearm r.repl in
+      rearmed_epoch := Some epoch;
+      Tensor.Replicator.complete_rearm r.repl ~watermark:5000
+        ~stream_offset:300 ~part_written:false);
+  Node.set_up r.db true;
+  let (), entries =
+    Telemetry.Bus.capture (fun () -> Engine.run_for r.eng (Time.sec 3))
+  in
+  checkb "no longer degraded" false (Tensor.Replicator.degraded r.repl);
+  Alcotest.(check (option int))
+    "re-armed once, under the next epoch" (Some 1) !rearmed_epoch;
+  checki "epoch" 1 (Tensor.Replicator.epoch r.repl);
+  Alcotest.(check (option int))
+    "watermark is the baseline" (Some 5000)
+    (Tensor.Replicator.watermark r.repl);
+  checki "bytes_written is the baseline" 300
+    (Tensor.Replicator.bytes_written r.repl);
+  checki "no stale unapplied replica" 0
+    (Tensor.Replicator.pending_unapplied r.repl);
+  Alcotest.(check (list string))
+    "exit, then the baseline watermark"
+    [ "degraded_exit"; "wm_durable" ]
+    (names entries);
+  Alcotest.(check (list int))
+    "the durable watermark is the baseline" [ 5000 ]
+    (acks_of
+       (function Telemetry.Event.Wm_durable { ack; _ } -> Some ack | _ -> None)
+       entries);
+  (* Armed again: an ACK past the baseline is held, one below it is not. *)
+  send 4000;
+  send 6000;
+  checki "only the covered ACK passes" 3 !emitted;
+  checki "the other is held" 1 (Tensor.Replicator.held_segments r.repl);
+  (* And the next write lands under the new epoch's key space. *)
+  Tensor.Replicator.on_tx_message r.repl ~raw:"abc" ~release:(fun () -> ());
+  Engine.run_for r.eng (Time.sec 1);
+  checkb "out record at the baseline offset, new epoch" true
+    (Store.Server.peek r.server
+       (Tensor.Keys.out_key (Tensor.Keys.epoch_cid r.cid 1) 300)
+     <> None)
+
+let test_stale_reply_fires_no_second_release () =
+  (* A 200 ms link: the store answers the write 400 ms after it was sent,
+     long after the held ACK aged past the 100 ms deadline. The shed
+     fires the release once; the late reply must not fire it again. *)
+  let r = make_rig ~delay:(Time.ms 200) () in
+  let send, _ = with_chain r in
+  Tensor.Replicator.set_degrade_after r.repl (Some (Time.ms 100));
+  Tensor.Replicator.session_established r.repl ~irs:1000;
+  let releases = ref 0 in
+  Tensor.Replicator.on_tx_message r.repl ~raw:"abc" ~release:(fun () ->
+      incr releases);
+  send 1100;
+  Engine.run_for r.eng (Time.ms 300);
+  checkb "degraded before the reply" true (Tensor.Replicator.degraded r.repl);
+  checki "shed fired the release" 1 !releases;
+  Engine.run_for r.eng (Time.sec 2);
+  checkb "the write did land" true
+    (Store.Server.peek r.server (Tensor.Keys.out_key r.cid 0) <> None);
+  checki "the late reply fired nothing" 1 !releases
 
 let () =
   Alcotest.run "replicator"
@@ -373,5 +524,17 @@ let () =
             test_resume_continues_counters;
           Alcotest.test_case "drain" `Quick test_drain_fires_when_quiet;
           Alcotest.test_case "stop releases held" `Quick test_stop_releases_held;
+        ] );
+      ( "degraded",
+        [
+          Alcotest.test_case "degrade sheds held ACKs" `Quick
+            test_degrade_sheds_held_acks;
+          Alcotest.test_case "session_down drops held ACKs" `Quick
+            test_session_down_drops_held;
+          Alcotest.test_case "stop drops held ACKs" `Quick test_stop_drops_held;
+          Alcotest.test_case "re-arm restores the baseline" `Quick
+            test_rearm_restores_baseline;
+          Alcotest.test_case "stale reply fires no second release" `Quick
+            test_stale_reply_fires_no_second_release;
         ] );
     ]

@@ -96,6 +96,77 @@ let test_keys_parsers () =
         (vrf = "v0" && Addr.equal_prefix p (pfx "10.0.0.0/8"))
   | None -> Alcotest.fail "rib key parse"
 
+(* Every writer prints non-negative decimals, so a decoder that accepts
+   a sign, an underscore, a radix prefix or an out-of-range value reads a
+   record no writer produced (and reads "0x10" as 16). *)
+let test_keys_reject_non_canonical_integers () =
+  let open Tensor.Keys in
+  let cid = conn_id ~service:"svc" ~vrf:"v0" in
+  let rejects name = function
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+    | Error _ -> ()
+  in
+  List.iter
+    (fun s -> rejects ("bfd " ^ s) (decode_bfd s))
+    [ "0x1|2"; "1_0|+2"; "-1|2"; "1|0b1"; "1| 2"; "|2"; "99999999999999999999|1" ];
+  checkb "bfd canonical, leading zeros" true (decode_bfd "007|2" = Ok (7, 2));
+  List.iter
+    (fun k ->
+      checkb ("in key " ^ k) true (seq_of_in_key cid k = None);
+      checkb ("out key " ^ k) true (offset_of_out_key cid k = None))
+    [
+      "in|svc|v0|-00000000001"; "out|svc|v0|-00000000001";
+      "in|svc|v0|0x00000000ff"; "out|svc|v0|0x00000000ff";
+      "in|svc|v0|00000000_001"; "out|svc|v0|+00000000001";
+      "in|svc|v0|"; "out|svc|v0|99999999999999999999";
+    ];
+  checkb "in key canonical" true (seq_of_in_key cid "in|svc|v0|000000000255" = Some 255);
+  List.iter
+    (fun s -> rejects ("in record " ^ s) (decode_in_record s))
+    [ "0x10:abc"; "+16:abc"; "-16:abc"; "1_6:abc"; ":abc" ];
+  checkb "in record canonical" true (decode_in_record "16:abc" = Ok (16, "abc"));
+  List.iter
+    (fun s -> rejects ("part " ^ s) (decode_part s))
+    [ "-5:00"; "0x5:00"; "5_0:00"; "+5:00" ];
+  checkb "part canonical" true (decode_part "5:00" = Ok (5, "\000"));
+  let meta = encode_meta sample_meta in
+  let swap field bad =
+    String.concat ";"
+      (List.map
+         (fun kv ->
+           match String.index_opt kv '=' with
+           | Some i when String.sub kv 0 i = field -> field ^ "=" ^ bad
+           | _ -> kv)
+         (String.split_on_char ';' meta))
+  in
+  List.iter
+    (fun (field, bad) ->
+      rejects
+        (Printf.sprintf "meta %s=%s" field bad)
+        (decode_meta (swap field bad)))
+    [
+      ("lp", "0xc000"); ("iss", "-5"); ("hold", "9_0"); ("irs", "+654321");
+      ("grt", "0o170"); ("ep", "0x1"); ("ep", "-1"); ("mss", "");
+    ];
+  checkb "meta canonical" true (decode_meta (swap "ep" "0") = Ok sample_meta);
+  let rib = encode_rib_entry sample_src (pfx "100.1.2.0/24") (sample_attrs ()) in
+  let bad_pasn =
+    String.concat ";"
+      (List.map
+         (fun kv -> if kv = "pasn=65010" then "pasn=0xfdf2" else kv)
+         (String.split_on_char ';' rib))
+  in
+  checkb "rib fixture has pasn" true (bad_pasn <> rib);
+  rejects "rib pasn=0xfdf2" (decode_rib_entry bad_pasn);
+  let nat s want = Alcotest.(check (option int)) s want (nat_of_string s) in
+  nat "0" (Some 0);
+  nat "000000000042" (Some 42);
+  nat (string_of_int max_int) (Some max_int);
+  List.iter
+    (fun s -> nat s None)
+    [ ""; "-0"; "+1"; "0x1"; "0o7"; "0b1"; "1_000"; " 1"; "1 "; "1e3";
+      "4611686018427387904"; "99999999999999999999" ]
+
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex/unhex roundtrip" ~count:200 QCheck.string
     (fun s -> Tensor.Keys.unhex (Tensor.Keys.hex s) = Ok s)
@@ -739,6 +810,8 @@ let () =
           Alcotest.test_case "in record" `Quick test_keys_in_record_roundtrip;
           Alcotest.test_case "rib entry" `Quick test_keys_rib_roundtrip;
           Alcotest.test_case "key parsers" `Quick test_keys_parsers;
+          Alcotest.test_case "non-canonical integers rejected" `Quick
+            test_keys_reject_non_canonical_integers;
           Alcotest.test_case "rib encoder memo" `Quick test_rib_encoder_memo;
           Alcotest.test_case "hex of every byte" `Quick test_hex_all_bytes;
           Alcotest.test_case "rib entry golden" `Quick test_rib_entry_golden;

@@ -162,6 +162,76 @@ let test_mixed_schema_series () =
   checkb "disagreeing flags are mixed" true
     (Trend_core.mixed_quick [ Some true; Some false ])
 
+(* --- result digests ------------------------------------------------------ *)
+
+let dsnap ?(quick = true) exps =
+  parse
+    (Printf.sprintf "{\"schema_version\":2,\"quick\":%b,\"experiments\":[%s]}"
+       quick
+       (String.concat ","
+          (List.map
+             (fun (id, digest) ->
+               match digest with
+               | Some d ->
+                   Printf.sprintf
+                     "{\"id\":\"%s\",\"wall_s\":1,\"result_digest\":\"%s\"}"
+                     id d
+               | None -> Printf.sprintf "{\"id\":\"%s\",\"wall_s\":1}" id)
+             exps)))
+
+let changes snaps =
+  List.map
+    (fun (c : Trend_core.digest_change) -> (c.exp, c.pinned, c.now))
+    (Trend_core.digest_changes
+       (List.map
+          (fun j ->
+            ( Option.bind (Monitor.Json.member "quick" j) Monitor.Json.to_bool,
+              Trend_core.result_digests j ))
+          snaps))
+
+let test_result_digests () =
+  let triples = Alcotest.(list (triple string string string)) in
+  Alcotest.(check (list (pair string string)))
+    "digests parsed; none for an experiment without one"
+    [ ("fig6a", "aa") ]
+    (Trend_core.result_digests (dsnap [ ("fig6a", Some "aa"); ("micro", None) ]));
+  Alcotest.check triples "equal digests pass" []
+    (changes [ dsnap [ ("fig6a", Some "aa") ]; dsnap [ ("fig6a", Some "aa") ] ]);
+  Alcotest.check triples "a changed digest names its experiment"
+    [ ("fig6b", "bb", "xx") ]
+    (changes
+       [
+         dsnap [ ("fig6a", Some "aa"); ("fig6b", Some "bb") ];
+         dsnap [ ("fig6a", Some "aa"); ("fig6b", Some "xx") ];
+       ]);
+  (* Pinned by the latest earlier snapshot that records the experiment:
+     a re-pin supersedes the older value, and a snapshot without the
+     digest (or from before digests) is skipped. *)
+  Alcotest.check triples "latest recorded digest pins" []
+    (changes
+       [
+         dsnap [ ("fig6a", Some "old") ];
+         dsnap [ ("fig6a", Some "new") ];
+         dsnap [ ("fig6a", None) ];
+         snap [ ("fig6a", 1.0) ];
+         dsnap [ ("fig6a", Some "new") ];
+       ]);
+  Alcotest.check triples "the older pin no longer applies"
+    [ ("fig6a", "new", "old") ]
+    (changes
+       [
+         dsnap [ ("fig6a", Some "old") ];
+         dsnap [ ("fig6a", Some "new") ];
+         dsnap [ ("fig6a", Some "old") ];
+       ]);
+  Alcotest.check triples "first digest of an experiment pins nothing" []
+    (changes [ dsnap [ ("fig6a", None) ]; dsnap [ ("fig6a", Some "aa") ] ]);
+  (* A full run prints other rows than a quick one: only the same mode
+     pins. *)
+  Alcotest.check triples "full run does not pin a quick run" []
+    (changes
+       [ dsnap ~quick:false [ ("fig6a", Some "full") ]; dsnap [ ("fig6a", Some "aa") ] ])
+
 let () =
   Alcotest.run "trend"
     [
@@ -174,5 +244,6 @@ let () =
             test_nothing_shared;
           Alcotest.test_case "noise floor" `Quick test_noise_floor;
           Alcotest.test_case "mixed v1/v2 series" `Quick test_mixed_schema_series;
+          Alcotest.test_case "result digests" `Quick test_result_digests;
         ] );
     ]
