@@ -10,31 +10,43 @@ let of_octets a b c d =
   lor ((c land 0xFF) lsl 8)
   lor (d land 0xFF)
 
-(* The value of a field of 1 to [max_digits] ASCII decimal digits, or -1
-   for anything else. [int_of_string] would also read "0x0a", "1_0",
-   "+10", "0b1010" and "-0". *)
-let decimal ~max_digits s =
-  let n = String.length s in
-  if n = 0 || n > max_digits then -1
+(* The value of the [len] ASCII decimal digits of [s] from [pos], or -1
+   when [len] is 0 or over [max_digits] or a character is not a digit.
+   [int_of_string] would also read "0x0a", "1_0", "+10", "0b1010" and
+   "-0". A top-level loop over indices: no substring, no closure. *)
+let rec digits s i stop acc =
+  if i = stop then acc
   else
-    String.fold_left
-      (fun acc c ->
-        match c with
-        | '0' .. '9' when acc >= 0 -> (acc * 10) + Char.code c - Char.code '0'
-        | _ -> -1)
-      0 s
+    match s.[i] with
+    | '0' .. '9' as c -> digits s (i + 1) stop ((acc * 10) + Char.code c - 48)
+    | _ -> -1
 
-let of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-      let octet f = decimal ~max_digits:3 f in
-      match (octet a, octet b, octet c, octet d) with
-      | a, b, c, d
-        when a >= 0 && a < 256 && b >= 0 && b < 256 && c >= 0 && c < 256
-             && d >= 0 && d < 256 ->
-          of_octets a b c d
-      | _ -> invalid_arg (Printf.sprintf "Addr.of_string: %S" s))
-  | _ -> invalid_arg (Printf.sprintf "Addr.of_string: %S" s)
+let decimal ~max_digits s pos len =
+  if len = 0 || len > max_digits then -1 else digits s pos (pos + len) 0
+
+let bad_addr s pos len =
+  invalid_arg (Printf.sprintf "Addr.of_string: %S" (String.sub s pos len))
+
+let rec dot_or_stop s i stop =
+  if i = stop || s.[i] = '.' then i else dot_or_stop s (i + 1) stop
+
+(* Octets [k..3] of the dotted quad in [s] from [i] to [stop], folded
+   into [acc]; -1 unless the span holds exactly [4 - k] dot-separated
+   octets. *)
+let rec octets s i stop k acc =
+  let j = dot_or_stop s i stop in
+  let o = decimal ~max_digits:3 s i (j - i) in
+  if o < 0 || o > 255 then -1
+  else if k = 3 then if j = stop then (acc lsl 8) lor o else -1
+  else if j = stop then -1
+  else octets s (j + 1) stop (k + 1) ((acc lsl 8) lor o)
+
+let of_substring s pos len =
+  match octets s pos (pos + len) 0 0 with
+  | -1 -> bad_addr s pos len
+  | v -> v
+
+let of_string s = of_substring s 0 (String.length s)
 
 let to_string t =
   Printf.sprintf "%d.%d.%d.%d"
@@ -63,10 +75,8 @@ let prefix_of_string s =
   match String.index_opt s '/' with
   | None -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s)
   | Some i -> (
-      let addr = of_string (String.sub s 0 i) in
-      match
-        decimal ~max_digits:2 (String.sub s (i + 1) (String.length s - i - 1))
-      with
+      let addr = of_substring s 0 i in
+      match decimal ~max_digits:2 s (i + 1) (String.length s - i - 1) with
       | len when len >= 0 -> prefix addr len
       | _ -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s))
 

@@ -23,6 +23,12 @@ val of_string : string -> t
     [Invalid_argument] on anything else, including the [0x], [0o], [0b],
     [_] and sign forms [int_of_string] would accept. *)
 
+val of_substring : string -> int -> int -> t
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    raising the same [Invalid_argument], but reads the characters in
+    place: a valid address allocates nothing. [pos] and [len] must
+    designate a valid substring of [s]. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int

@@ -8,6 +8,13 @@ let bindings ~compare:cmp tbl =
 
 let keys ~compare tbl = List.map fst (bindings ~compare tbl)
 
+(* Filters during the fold, so only the kept keys are ever listed or
+   sorted: a scan that returns a small slice of a large table costs the
+   slice, not the table. *)
+let keys_where ~compare ~keep tbl =
+  Hashtbl.fold (fun k _ acc -> if keep k then k :: acc else acc) tbl []
+  |> List.sort compare
+
 let iter_sorted ~compare f tbl =
   List.iter (fun (k, v) -> f k v) (bindings ~compare tbl)
 

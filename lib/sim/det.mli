@@ -16,6 +16,12 @@ val bindings : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 val keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
 (** Keys in ascending order. *)
 
+val keys_where :
+  compare:('k -> 'k -> int) -> keep:('k -> bool) -> ('k, 'v) Hashtbl.t -> 'k list
+(** The keys satisfying [keep], in ascending order:
+    [List.filter keep (keys ~compare tbl)], but only the kept keys are
+    collected and sorted. *)
+
 val iter_sorted :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 

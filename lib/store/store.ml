@@ -85,14 +85,21 @@ module Server = struct
   let stored_bytes t = t.bytes
   let peek t key = Hashtbl.find_opt t.table key
 
-  (* Not [String.starts_with]: without flambda its local loop allocates
-     a closure per call, more than this prefix substring, and the filter
-     runs on every stored key of every scan. *)
+  (* [has_prefix_from p k i]: [k], at least as long as [p], agrees with
+     [p] from index [i] to [p]'s end. Compared in place: [String.sub]
+     copies and [String.starts_with] allocates a closure per call (no
+     flambda), and the test runs on every stored key of every scan. *)
+  let rec has_prefix_from p k i =
+    i = String.length p || (p.[i] = k.[i] && has_prefix_from p k (i + 1))
+
+  (* Filter, then sort the matches: a recovery scan returns one service's
+     slice of a store that holds every service's keys, so sorting the
+     whole key space first cost most of the read path. No sorted cache or
+     index: each would need invalidating on every write, and writes far
+     outnumber scans. *)
   let keys_with_prefix t prefix =
-    Det.keys ~compare:String.compare t.table
-    |> List.filter (fun k ->
-           String.length k >= String.length prefix
-           && String.sub k 0 (String.length prefix) = prefix)
+    Det.keys_where ~compare:String.compare t.table ~keep:(fun k ->
+        String.length k >= String.length prefix && has_prefix_from prefix k 0)
 
   (* Serialize request processing through the server's modelled CPU, like
      the TCP stack does. *)

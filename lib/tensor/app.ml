@@ -369,8 +369,8 @@ let rearm_from_degraded t pv =
             | Ok pairs ->
                 List.filter_map
                   (fun (key, _) ->
-                    match Keys.vrf_prefix_of_rib_key ~service key with
-                    | Some (v, _)
+                    match Keys.vrf_of_rib_key ~service key with
+                    | Some v
                       when String.equal v pv.spec.vrf
                            && not (String_set.mem key fresh_keys) ->
                         Some key
@@ -837,10 +837,10 @@ let bootstrap_recover t spk stack client =
           List.iter
             (fun (key, v) ->
               match
-                ( Keys.vrf_prefix_of_rib_key ~service:t.cfg.service_id key,
+                ( Keys.vrf_of_rib_key ~service:t.cfg.service_id key,
                   Keys.decode_rib_entry v )
               with
-              | Some (vrf, _), Ok (src, prefix, attrs) ->
+              | Some vrf, Ok (src, prefix, attrs) ->
                   Bgp.Speaker.restore_route spk ~vrf src prefix attrs
               | _ -> ())
             pairs

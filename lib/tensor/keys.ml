@@ -26,39 +26,56 @@ let rib_key ~service ~vrf prefix =
 
 let rib_prefix ~service = "rib|" ^ service ^ "|"
 
-(* A non-negative decimal as every writer here prints it: ASCII digits
-   only, so no sign, underscore or radix prefix; [None] on overflow.
-   Top-level recursion rather than [String.for_all], whose local loop
-   allocates a closure per call. *)
-let rec digits_from s i =
-  i = String.length s
-  || (match s.[i] with '0' .. '9' -> digits_from s (i + 1) | _ -> false)
+(* [has_prefix_at p s i]: [s] holds [p] from index [i] on. Compared in
+   place: [String.starts_with] allocates a closure per call (no
+   flambda) and [String.sub] copies. *)
+let rec prefix_from p s i j =
+  j = String.length p || (p.[j] = s.[i + j] && prefix_from p s i (j + 1))
 
-let nat_of_string s =
-  if s <> "" && digits_from s 0 then int_of_string_opt s else None
+let has_prefix_at p s i =
+  String.length s - i >= String.length p && prefix_from p s i 0
+
+(* The non-negative decimal in [s] from [i] to [stop] as every writer
+   here prints it: ASCII digits only, so no sign, underscore or radix
+   prefix; -1 when empty, on any other character or past [max_int]. *)
+let rec nat_from s i stop acc =
+  if i = stop then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c ->
+        let d = Char.code c - 48 in
+        if acc > (max_int - d) / 10 then -1
+        else nat_from s (i + 1) stop ((acc * 10) + d)
+    | _ -> -1
+
+let nat_sub s i stop = if i >= stop then -1 else nat_from s i stop 0
+let nat_opt = function -1 -> None | v -> Some v
+let nat_of_string s = nat_opt (nat_sub s 0 (String.length s))
 
 let tail_int ~prefix key =
-  if String.starts_with ~prefix key then
-    let plen = String.length prefix in
-    nat_of_string (String.sub key plen (String.length key - plen))
+  if has_prefix_at prefix key 0 then
+    nat_opt (nat_sub key (String.length prefix) (String.length key))
   else None
 
 let seq_of_in_key cid key = tail_int ~prefix:(in_prefix cid) key
 let offset_of_out_key cid key = tail_int ~prefix:(out_prefix cid) key
 
-let vrf_prefix_of_rib_key ~service key =
-  let pfx = rib_prefix ~service in
-  let plen = String.length pfx in
-  if String.starts_with ~prefix:pfx key then
-    let rest = String.sub key plen (String.length key - plen) in
-    match String.index_opt rest '|' with
-    | Some i -> (
-        let vrf = String.sub rest 0 i in
-        let pstr = String.sub rest (i + 1) (String.length rest - i - 1) in
-        match Netsim.Addr.prefix_of_string pstr with
-        | p -> Some (vrf, p)
-        | exception Invalid_argument _ -> None)
-    | None -> None
+(* The index of the first [c] in [s] from [i] up to [stop], or [stop]:
+   [String.index_from_opt] would box its answer. *)
+let rec index_before s i stop c =
+  if i = stop || s.[i] = c then i else index_before s (i + 1) stop c
+
+let vrf_of_rib_key ~service key =
+  (* [rib_prefix ~service], matched in place. *)
+  let v0 = String.length service + 5 in
+  if
+    has_prefix_at "rib|" key 0
+    && has_prefix_at service key 4
+    && String.length key >= v0
+    && key.[v0 - 1] = '|'
+  then
+    let i = index_before key v0 (String.length key) '|' in
+    if i < String.length key then Some (String.sub key v0 (i - v0)) else None
   else None
 
 (* --- Hex ----------------------------------------------------------------- *)
@@ -86,14 +103,27 @@ let nibble c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> -1
 
-let unhex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "odd hex length"
-  else if not (String.for_all (fun c -> nibble c >= 0) s) then Error "bad hex"
+(* Unhexes [s] from [i] into [dst] from [j] until [dst] is full; [false]
+   at the first non-hex digit. *)
+let rec unhex_into s i dst j =
+  j = Bytes.length dst
+  ||
+  let hi = nibble s.[i] and lo = nibble s.[i + 1] in
+  hi >= 0 && lo >= 0
+  && begin
+       Bytes.unsafe_set dst j (Char.unsafe_chr ((hi lsl 4) lor lo));
+       unhex_into s (i + 2) dst (j + 1)
+     end
+
+(* [unhex] of the [len] characters of [s] from [pos], read in place. *)
+let unhex_sub s pos len =
+  if len mod 2 <> 0 then Error "odd hex length"
   else
-    Ok
-      (String.init (n / 2) (fun i ->
-           Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1])))
+    let b = Bytes.create (len / 2) in
+    if unhex_into s pos b 0 then Ok (Bytes.unsafe_to_string b)
+    else Error "bad hex"
+
+let unhex s = unhex_sub s 0 (String.length s)
 
 (* --- Meta ---------------------------------------------------------------- *)
 
@@ -195,9 +225,9 @@ let decode_in_record s =
   match String.index_opt s ':' with
   | None -> Error "no ack separator"
   | Some i -> (
-      match nat_of_string (String.sub s 0 i) with
-      | None -> Error "bad ack"
-      | Some ack -> Ok (ack, String.sub s (i + 1) (String.length s - i - 1)))
+      match nat_sub s 0 i with
+      | -1 -> Error "bad ack"
+      | ack -> Ok (ack, String.sub s (i + 1) (String.length s - i - 1)))
 
 (* --- RIB entries ------------------------------------------------------------ *)
 
@@ -275,31 +305,78 @@ let encode_rib_entry_with enc src (prefix : Netsim.Addr.prefix) attrs =
 let encode_rib_entry src prefix attrs =
   encode_rib_entry_with (rib_encoder ()) src prefix attrs
 
+(* The value spans of the record's six fields, as (start, stop) pairs
+   in an [int array]: each name below is the index of its field's start,
+   and a start of -1 means the field is unseen. *)
+let sk = 0 and pasn = 2 and paddr = 4 and rid = 6 and ebgp = 8 and u = 10
+let rib_slots_len = 12
+
+let key_is name s i eq = eq - i = String.length name && has_prefix_at name s i
+
+(* The slot of the field named by [s] from [i] to [eq], or -1. *)
+let rib_slot s i eq =
+  if key_is "sk" s i eq then sk
+  else if key_is "pasn" s i eq then pasn
+  else if key_is "paddr" s i eq then paddr
+  else if key_is "rid" s i eq then rid
+  else if key_is "ebgp" s i eq then ebgp
+  else if key_is "u" s i eq then u
+  else -1
+
+(* Records the value span of every [name=value] field from [i] on,
+   keeping the first occurrence of each name. Fields are
+   [';']-separated; one without ['='] is skipped, and a value runs from
+   the first ['='] to the next [';'], as [fields] splits them. *)
+let rec rib_slots s i slots =
+  let semi = index_before s i (String.length s) ';' in
+  let eq = index_before s i semi '=' in
+  (if eq < semi then
+     match rib_slot s i eq with
+     | -1 -> ()
+     | f ->
+         if slots.(f) < 0 then begin
+           slots.(f) <- eq + 1;
+           slots.(f + 1) <- semi
+         end);
+  if semi < String.length s then rib_slots s (semi + 1) slots
+
+let span_len slots f = slots.(f + 1) - slots.(f)
+let span_addr s slots f = Netsim.Addr.of_substring s slots.(f) (span_len slots f)
+
+(* Reads the fields in place from their spans: only the source key is
+   copied out, and [u=] is unhexed straight into the frame it decodes. *)
 let decode_rib_entry s =
-  let f = fields s in
-  let get k = List.assoc_opt k f in
-  match (get "sk", get "pasn", get "paddr", get "rid", get "ebgp", get "u") with
-  | Some key, Some pasn, Some paddr, Some rid, Some ebgp, Some u_hex -> (
-      match (nat_of_string pasn, unhex u_hex) with
-      | Some peer_asn, Ok raw -> (
-          match Bgp.Msg.decode raw with
-          | Ok (Bgp.Msg.Update { attrs = Some attrs; nlri = [ prefix ]; _ }) -> (
-              try
-                Ok
-                  ( {
-                      Bgp.Rib.key;
-                      peer_asn;
-                      peer_addr = Netsim.Addr.of_string paddr;
-                      router_id = Netsim.Addr.of_string rid;
-                      ebgp = ebgp = "1";
-                    },
-                    prefix,
-                    attrs )
-              with Invalid_argument e -> Error e)
-          | Ok _ -> Error "unexpected rib payload"
-          | Error e -> Error (Format.asprintf "%a" Bgp.Msg.pp_error e))
-      | _ -> Error "bad rib fields")
-  | _ -> Error "missing rib field"
+  let slots = Array.make rib_slots_len (-1) in
+  rib_slots s 0 slots;
+  if Array.exists (fun p -> p < 0) slots then Error "missing rib field"
+  else
+    match
+      ( nat_sub s slots.(pasn) slots.(pasn + 1),
+        unhex_sub s slots.(u) (span_len slots u) )
+    with
+    | peer_asn, Ok raw when peer_asn >= 0 -> (
+        match Bgp.Msg.decode raw with
+        | Ok (Bgp.Msg.Update { attrs = Some attrs; nlri = [ prefix ]; _ }) -> (
+            (* [rid] first: a record bad in both reports [rid]. *)
+            match span_addr s slots rid with
+            | exception Invalid_argument e -> Error e
+            | router_id -> (
+                match span_addr s slots paddr with
+                | exception Invalid_argument e -> Error e
+                | peer_addr ->
+                    Ok
+                      ( {
+                          Bgp.Rib.key = String.sub s slots.(sk) (span_len slots sk);
+                          peer_asn;
+                          peer_addr;
+                          router_id;
+                          ebgp = span_len slots ebgp = 1 && s.[slots.(ebgp)] = '1';
+                        },
+                        prefix,
+                        attrs )))
+        | Ok _ -> Error "unexpected rib payload"
+        | Error e -> Error (Format.asprintf "%a" Bgp.Msg.pp_error e))
+    | _ -> Error "bad rib fields"
 
 (* --- BFD ------------------------------------------------------------------- *)
 
@@ -313,10 +390,9 @@ let decode_part s =
   | None -> Error "no part separator"
   | Some i -> (
       match
-        ( nat_of_string (String.sub s 0 i),
-          unhex (String.sub s (i + 1) (String.length s - i - 1)) )
+        (nat_sub s 0 i, unhex_sub s (i + 1) (String.length s - i - 1))
       with
-      | Some offset, Ok bytes -> Ok (offset, bytes)
+      | offset, Ok bytes when offset >= 0 -> Ok (offset, bytes)
       | _ -> Error "bad part record")
 
 let decode_bfd s =

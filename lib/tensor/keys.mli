@@ -60,7 +60,10 @@ val nat_of_string : string -> int option
 
 val seq_of_in_key : conn_id -> string -> int option
 val offset_of_out_key : conn_id -> string -> int option
-val vrf_prefix_of_rib_key : service:string -> string -> (string * Netsim.Addr.prefix) option
+val vrf_of_rib_key : service:string -> string -> string option
+(** The [<vrf>] of a [rib|<service>|<vrf>|<prefix>] key, or [None] when
+    the key is not under [rib_prefix ~service] or has no [|] after the
+    VRF. The prefix is not read: the record's value carries it. *)
 
 (** {1 Record codecs} *)
 
@@ -118,6 +121,9 @@ val encode_rib_entry_with :
 
 val decode_rib_entry :
   string -> (Bgp.Rib.source * Netsim.Addr.prefix * Bgp.Attrs.t, string) result
+(** Inverse of {!encode_rib_entry}. Fields may come in any order and the
+    first of each name wins; a missing field, a bad number, address or
+    hex, or a frame that is not a one-prefix UPDATE is an [Error]. *)
 
 val encode_bfd : my_disc:int -> your_disc:int -> string
 val decode_bfd : string -> (int * int, string) result

@@ -858,6 +858,116 @@ let prop_framer_arbitrary_chunking =
       done;
       !got = 5)
 
+(* Decoder totality: what arrives from a peer may be damaged anywhere,
+   so [decode] and the framer must answer [Ok] or [Error], never raise.
+   Frames of every type get byte replacements, insertions, deletions,
+   two-byte overwrites (which hit length fields) and a truncation; most
+   then have their header length re-stamped to match, so the damage
+   reaches the body parsers instead of stopping at the length check. *)
+let gen_msg =
+  QCheck.Gen.(
+    let open_msg =
+      map
+        (fun (asn, caps) ->
+          Bgp.Msg.Open
+            {
+              version = 4;
+              asn;
+              hold_time = 90;
+              router_id = Addr.of_string "9.9.9.9";
+              capabilities = caps;
+            })
+        (pair (int_bound 0xFFFFFFFF)
+           (list_size (int_range 0 4)
+              (oneof
+                 [
+                   return Bgp.Msg.Cap_route_refresh;
+                   map (fun a -> Bgp.Msg.Cap_four_octet_asn a) (int_bound 0xFFFFFFFF);
+                   map
+                     (fun (t, f) ->
+                       Bgp.Msg.Cap_graceful_restart { restart_time = t; preserved_fwd = f })
+                     (pair (int_bound 4095) bool);
+                   map2 (fun c d -> Bgp.Msg.Cap_unknown (c, d)) (int_range 128 255)
+                     (string_size (int_range 0 6));
+                 ])))
+    in
+    frequency
+      [
+        (5, gen_update);
+        (2, open_msg);
+        (1, return Bgp.Msg.Keepalive);
+        (1, return Bgp.Msg.end_of_rib);
+        ( 1,
+          map3
+            (fun code subcode data -> Bgp.Msg.Notification { code; subcode; data })
+            (int_bound 255) (int_bound 255) (string_size (int_range 0 20)) );
+        (1, return (Bgp.Msg.Route_refresh { afi = 1; safi = 1 }));
+      ])
+
+let gen_damaged_frames =
+  let edit =
+    QCheck.Gen.(triple (int_bound 3) nat (pair char char))
+  in
+  let damage as4 (msg, ((edits, cut), restamp)) =
+    let apply s (op, pos, (c, d)) =
+      let n = String.length s in
+      let i = pos mod (n + 1) in
+      match op with
+      | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | 3 when i + 1 < n ->
+          String.mapi (fun j x -> if j = i then c else if j = i + 1 then d else x) s
+      | _ -> s
+    in
+    let s = List.fold_left apply (Bgp.Msg.encode ~as4 msg) edits in
+    let s = match cut with Some k -> String.sub s 0 (k mod (String.length s + 1)) | None -> s in
+    let n = String.length s in
+    if restamp && n >= 19 then
+      String.mapi
+        (fun j x ->
+          match j with 16 -> Char.chr ((n lsr 8) land 0xFF) | 17 -> Char.chr (n land 0xFF) | _ -> x)
+        s
+    else s
+  in
+  QCheck.Gen.(
+    map2
+      (fun as4 frames -> (as4, List.map (damage as4) frames))
+      bool
+      (list_size (int_range 1 4)
+         (pair gen_msg
+            (pair
+               (pair (list_size (int_range 0 4) edit) (opt nat))
+               (frequency [ (3, return true); (1, return false) ])))))
+
+let prop_decoders_total =
+  QCheck.Test.make ~name:"decode and framer never raise on damaged frames"
+    ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair (pair bool (list (Printf.sprintf "%S"))) int)
+       QCheck.Gen.(pair gen_damaged_frames (int_range 1 64)))
+    (fun ((as4, frames), chunk) ->
+      let raised what e =
+        QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      in
+      List.iter
+        (fun f ->
+          match Bgp.Msg.decode ~as4 f with
+          | Ok _ | Error _ -> ()
+          | exception e -> raised "decode" e)
+        frames;
+      let stream = String.concat "" frames in
+      let framer = Bgp.Msg.Framer.create ~as4 () in
+      let pos = ref 0 in
+      while !pos < String.length stream do
+        let len = min chunk (String.length stream - !pos) in
+        (match Bgp.Msg.Framer.push framer (String.sub stream !pos len) with
+        | _ -> ()
+        | exception e -> raised "Framer.push" e);
+        pos := !pos + len
+      done;
+      true)
+
 let prop_decision_deterministic =
   (* The best path must not depend on insertion order. *)
   QCheck.Test.make ~name:"decision process is order-independent" ~count:100
@@ -984,6 +1094,7 @@ let () =
           [
             prop_update_roundtrip;
             prop_framer_arbitrary_chunking;
+            prop_decoders_total;
             prop_decision_deterministic;
             prop_policy_rejects_are_stable;
           ] );

@@ -266,6 +266,29 @@ let prop_rng_int_uniformish =
       done;
       Array.for_all (fun h -> h > 0) hits)
 
+(* --- Det --------------------------------------------------------------- *)
+
+let test_det_keys_where () =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun k -> Hashtbl.replace tbl k (String.length k))
+    [ "b|2"; "a|1"; "c"; "b|1"; ""; "b"; "a|3"; "b|10" ];
+  let keep k = String.length k > 0 && k.[0] = 'b' in
+  Alcotest.(check (list string))
+    "kept keys, ascending" [ "b"; "b|1"; "b|10"; "b|2" ]
+    (Det.keys_where ~compare:String.compare ~keep tbl);
+  Alcotest.(check (list string))
+    "same as filtering keys"
+    (List.filter keep (Det.keys ~compare:String.compare tbl))
+    (Det.keys_where ~compare:String.compare ~keep tbl);
+  Alcotest.(check (list string))
+    "none kept" []
+    (Det.keys_where ~compare:String.compare ~keep:(fun _ -> false) tbl);
+  Alcotest.(check (list int))
+    "other key types, descending order" [ 9; 5; 3 ]
+    (Det.keys_where ~compare:(fun a b -> compare b a) ~keep:(fun k -> k mod 2 = 1)
+       (Hashtbl.of_seq (List.to_seq [ (3, ()); (4, ()); (9, ()); (5, ()); (8, ()) ])))
+
 let () =
   Alcotest.run "sim"
     [
@@ -311,6 +334,7 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick
             test_rng_shuffle_permutation;
         ] );
+      ("det", [ Alcotest.test_case "keys_where" `Quick test_det_keys_where ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

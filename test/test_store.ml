@@ -328,6 +328,42 @@ let prop_set_get_roundtrip =
       Engine.run eng;
       !ok)
 
+(* The scan is "every key, sorted, filtered by [String.starts_with]".
+   Keys come from a three-letter alphabet so prefixes collide often, and
+   the prefix is drawn to hit the edges: empty, equal to a key, a proper
+   prefix of one, one extending a key (that key must not match), longer
+   than every key, or arbitrary. *)
+let prop_keys_with_prefix_reference =
+  let key = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '|' ]) (int_range 0 5)) in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 30) key >>= fun keys ->
+      let some_key = if keys = [] then return "" else oneofl keys in
+      let prefix =
+        frequency
+          [
+            (1, return "");
+            (3, some_key);
+            (3, some_key >>= fun k -> int_bound (String.length k) >|= String.sub k 0);
+            (3, map2 ( ^ ) some_key (string_size ~gen:(oneofl [ 'a'; '|' ]) (int_range 1 2)));
+            (1, return (String.make 6 'a'));
+            (2, key);
+          ]
+      in
+      pair (return keys) prefix)
+  in
+  QCheck.Test.make ~name:"keys_with_prefix is the sorted starts_with filter"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair (list string) string) gen)
+    (fun (keys, prefix) ->
+      let eng, server, client, _ = setup ~cost:Store.free_cost_model () in
+      if keys <> [] then run_set eng client (List.map (fun k -> (k, "v")) keys);
+      let want =
+        List.sort_uniq String.compare keys
+        |> List.filter (fun k -> String.starts_with ~prefix k)
+      in
+      Store.Server.keys_with_prefix server prefix = want)
+
 let prop_latency_monotone_in_batch =
   QCheck.Test.make ~name:"batched write latency is monotone in size" ~count:10
     QCheck.(pair (int_range 1 200) (int_range 1 200))
@@ -378,5 +414,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_set_get_roundtrip; prop_latency_monotone_in_batch ] );
+          [
+            prop_set_get_roundtrip;
+            prop_latency_monotone_in_batch;
+            prop_keys_with_prefix_reference;
+          ] );
     ]

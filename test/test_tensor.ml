@@ -90,11 +90,12 @@ let test_keys_parsers () =
   checkb "out key parse" true
     (Tensor.Keys.offset_of_out_key cid (Tensor.Keys.out_key cid 1234) = Some 1234);
   let rk = Tensor.Keys.rib_key ~service:"svc1" ~vrf:"v0" (pfx "10.0.0.0/8") in
-  match Tensor.Keys.vrf_prefix_of_rib_key ~service:"svc1" rk with
-  | Some (vrf, p) ->
-      checkb "rib key parse" true
-        (vrf = "v0" && Addr.equal_prefix p (pfx "10.0.0.0/8"))
-  | None -> Alcotest.fail "rib key parse"
+  let vrf k = Tensor.Keys.vrf_of_rib_key ~service:"svc1" k in
+  Alcotest.(check (option string)) "rib key vrf" (Some "v0") (vrf rk);
+  List.iter
+    (fun k -> Alcotest.(check (option string)) ("not a rib key: " ^ k) None (vrf k))
+    [ "rib|svc1|v0"; "rib|svc1|"; "rib|svc2|v0|10.0.0.0/8"; "rib|svc|v0|x";
+      "in|svc1|v0|1"; ""; "rib|svc1x|v0|1" ]
 
 (* Every writer prints non-negative decimals, so a decoder that accepts
    a sign, an underscore, a radix prefix or an out-of-range value reads a
@@ -390,40 +391,194 @@ let test_rib_encode_alloc_budget () =
     Alcotest.failf "%.1f words per %d-byte entry, budget %.0f" per_entry len
       budget
 
-(* Recovery reads every rib| record back: a damaged one must come back
-   as an [Error], never as an exception. *)
-let prop_decode_rib_entry_total =
+(* A damaged record: up to three one-character edits (replace, insert,
+   delete), then an optional cut. *)
+let gen_damaged_rib_entry =
   let edit =
     QCheck.Gen.(
       triple (int_bound 2) nat
         (frequency [ (3, oneofl (List.of_seq (String.to_seq "0123456789abcdef;=|/"))); (1, char) ]))
   in
-  QCheck.Test.make ~name:"decode_rib_entry is total on damaged records"
-    ~count:2000
-    QCheck.(
-      make
-        Gen.(triple (pair gen_src gen_attrs) gen_prefix
-               (pair (list_size (int_range 1 3) edit) (opt nat))))
-    (fun ((src, attrs), p, (edits, cut)) ->
-      let apply s (op, pos, c) =
-        let n = String.length s in
-        let i = pos mod (n + 1) in
-        match op with
-        | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
-        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
-        | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
-        | _ -> s
-      in
-      let s = List.fold_left apply (ref_rib_entry src p attrs) edits in
-      let s =
+  QCheck.Gen.(
+    map
+      (fun (((src, attrs), p), (edits, cut)) ->
+        let apply s (op, pos, c) =
+          let n = String.length s in
+          let i = pos mod (n + 1) in
+          match op with
+          | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+          | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+          | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+          | _ -> s
+        in
+        let s = List.fold_left apply (ref_rib_entry src p attrs) edits in
         match cut with
         | Some k -> String.sub s 0 (k mod (String.length s + 1))
-        | None -> s
-      in
+        | None -> s)
+      (pair (pair (pair gen_src gen_attrs) gen_prefix)
+         (pair (list_size (int_range 1 3) edit) (opt nat))))
+
+(* Recovery reads every rib| record back: a damaged one must come back
+   as an [Error], never as an exception. *)
+let prop_decode_rib_entry_total =
+  QCheck.Test.make ~name:"decode_rib_entry is total on damaged records"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_damaged_rib_entry)
+    (fun s ->
       match Tensor.Keys.decode_rib_entry s with
       | Ok _ | Error _ -> true
       | exception e ->
           QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) s)
+
+(* The record decoder as first written: split into [key=value] fields,
+   look each one up in the list (the first occurrence wins), then parse.
+   The in-place decoder must give the same [Ok] value or the same
+   [Error] string on every input. *)
+let ref_fields s =
+  String.split_on_char ';' s
+  |> List.filter_map (fun kv ->
+         match String.index_opt kv '=' with
+         | Some i ->
+             Some (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+         | None -> None)
+
+let ref_nibble c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+let ref_unhex s =
+  let n = String.length s in
+  if n mod 2 <> 0 then Error "odd hex length"
+  else if not (String.for_all (fun c -> ref_nibble c >= 0) s) then Error "bad hex"
+  else
+    Ok
+      (String.init (n / 2) (fun i ->
+           Char.chr ((ref_nibble s.[2 * i] lsl 4) lor ref_nibble s.[(2 * i) + 1])))
+
+let ref_nat s =
+  if s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s
+  then int_of_string_opt s
+  else None
+
+let ref_decode_rib_entry s =
+  let f = ref_fields s in
+  let get k = List.assoc_opt k f in
+  match (get "sk", get "pasn", get "paddr", get "rid", get "ebgp", get "u") with
+  | Some key, Some pasn, Some paddr, Some rid, Some ebgp, Some u_hex -> (
+      match (ref_nat pasn, ref_unhex u_hex) with
+      | Some peer_asn, Ok raw -> (
+          match Bgp.Msg.decode raw with
+          | Ok (Bgp.Msg.Update { attrs = Some attrs; nlri = [ prefix ]; _ }) -> (
+              try
+                Ok
+                  ( {
+                      Bgp.Rib.key;
+                      peer_asn;
+                      peer_addr = Addr.of_string paddr;
+                      router_id = Addr.of_string rid;
+                      ebgp = ebgp = "1";
+                    },
+                    prefix,
+                    attrs )
+              with Invalid_argument e -> Error e)
+          | Ok _ -> Error "unexpected rib payload"
+          | Error e -> Error (Format.asprintf "%a" Bgp.Msg.pp_error e))
+      | _ -> Error "bad rib fields")
+  | _ -> Error "missing rib field"
+
+let same_decode s =
+  match (Tensor.Keys.decode_rib_entry s, ref_decode_rib_entry s) with
+  | Ok (src, p, a), Ok (src', p', a') ->
+      src = src' && Addr.equal_prefix p p' && Bgp.Attrs.equal a a'
+  | Error e, Error e' when String.equal e e' -> true
+  | got, want ->
+      let show = function Ok _ -> "Ok" | Error e -> "Error " ^ e in
+      QCheck.Test.fail_reportf "on %S: got %s, reference %s" s (show got)
+        (show want)
+
+(* Fields shuffled, some repeated with another value before or after the
+   original, plus unknown and [=]-less fields: the first occurrence of
+   each name must win, wherever it sits. *)
+let gen_reordered_rib_entry =
+  let field_value =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ ""; "0"; "1"; "65010"; "0x10"; "1.2.3.4"; "300.1.1.1"; "ff"; "f"; "a=b" ];
+          string_size ~gen:(oneofl [ '0'; '9'; 'a'; 'f'; '.'; '=' ]) (int_range 0 6);
+        ])
+  in
+  QCheck.Gen.(
+    map
+      (fun ((((src, attrs), p), dups), (extra, perm_seed)) ->
+        let fields = String.split_on_char ';' (ref_rib_entry src p attrs) in
+        let name kv = match String.index_opt kv '=' with Some i -> String.sub kv 0 i | None -> kv in
+        let dup_fields =
+          List.map (fun (i, v) -> name (List.nth fields (i mod 6)) ^ "=" ^ v) dups
+        in
+        let all = fields @ dup_fields @ extra in
+        let rng = Random.State.make [| perm_seed |] in
+        let keyed = List.map (fun f -> (Random.State.bits rng, f)) all in
+        String.concat ";" (List.map snd (List.sort compare keyed)))
+      (pair
+         (pair (pair (pair gen_src gen_attrs) gen_prefix)
+            (list_size (int_range 0 4) (pair nat field_value)))
+         (pair
+            (list_size (int_range 0 2) (oneofl [ ""; "x=1"; "sk"; "SK=v0"; "u"; "ridx=1.2.3.4" ]))
+            int)))
+
+let prop_decode_rib_entry_matches_reference =
+  QCheck.Test.make ~name:"decode_rib_entry equals the field-list reference"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [
+             ( 1,
+               map
+                 (fun (((src, attrs), p)) -> ref_rib_entry src p attrs)
+                 (pair (pair gen_src gen_attrs) gen_prefix) );
+             (2, gen_damaged_rib_entry);
+             (2, gen_reordered_rib_entry);
+           ]))
+    same_decode
+
+(* Decoding allocates what it returns plus the frame decode: splitting
+   the record into a list of substring pairs cost about four times the
+   record layer's share of this. *)
+let test_rib_decode_alloc_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let a = sample_attrs () in
+  let prefixes =
+    Array.init 1000 (fun i -> Addr.prefix (Addr.of_int (0x64000000 + (i lsl 8))) 24)
+  in
+  let records =
+    Array.map (fun p -> Tensor.Keys.encode_rib_entry sample_src p a) prefixes
+  in
+  let frames =
+    Array.map
+      (fun p ->
+        Bgp.Msg.encode
+          (Bgp.Msg.Update { withdrawn = []; attrs = Some a; nlri = [ p ] }))
+      prefixes
+  in
+  let words f xs =
+    let before = Gc.minor_words () in
+    Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+    (Gc.minor_words () -. before) /. float_of_int (Array.length xs)
+  in
+  checkb "records decode" true
+    (Array.for_all (fun r -> Result.is_ok (Tensor.Keys.decode_rib_entry r)) records);
+  let frame = words Bgp.Msg.decode frames in
+  let per_entry = words Tensor.Keys.decode_rib_entry records in
+  let len = String.length records.(0) in
+  let budget = frame +. float_of_int (len / (Sys.word_size / 8)) +. 40.0 in
+  if per_entry >= budget then
+    Alcotest.failf "%.1f words per %d-byte record, budget %.0f (frame decode %.0f)"
+      per_entry len budget frame
 
 (* --- Full deployment helpers ---------------------------------------------- *)
 
@@ -817,6 +972,8 @@ let () =
           Alcotest.test_case "rib entry golden" `Quick test_rib_entry_golden;
           Alcotest.test_case "rib encode allocation budget" `Quick
             test_rib_encode_alloc_budget;
+          Alcotest.test_case "rib decode allocation budget" `Quick
+            test_rib_decode_alloc_budget;
         ] );
       ( "deployment",
         [
@@ -859,5 +1016,6 @@ let () =
           [
             prop_hex_roundtrip; prop_meta_roundtrip; prop_unhex_rejects_non_hex;
             prop_rib_entry_matches_reference; prop_decode_rib_entry_total;
+            prop_decode_rib_entry_matches_reference;
           ] );
     ]
